@@ -198,7 +198,7 @@ impl EngineConfig {
     ///
     /// Panics when the spec resolves to a closed-form analytic model —
     /// those have no engine configuration; run them via
-    /// [`AccelSpec::run`] or [`crate::session::Session`] instead.
+    /// [`crate::session::Session`] instead.
     pub fn new(spec: impl Into<AccelSpec>) -> EngineConfig {
         let spec = spec.into();
         match &spec.kind {

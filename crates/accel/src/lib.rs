@@ -1,47 +1,46 @@
 //! # drt-accel — accelerator and baseline models
 //!
 //! Every machine the paper evaluates (§5.2), modelled at the paper's own
-//! fidelity (bandwidth/queuing, §5.2.1) on top of `drt-sim`:
+//! fidelity (bandwidth/queuing, §5.2.1) on top of `drt-sim`. SpMSpM runs
+//! have one public door: build a [`session::Session`] around a
+//! registered [`spec::AccelSpec`] (or a name, via
+//! [`session::Session::from_registry`]) and call `run_spmspm`; every
+//! other workload kind goes through the same session as a
+//! [`workload::Workload`].
 //!
-//! * [`extensor`] — ExTensor (S-U-C tiling, skip-based intersection), the
-//!   improved ExTensor-OP, and ExTensor-OP-DRT (a.k.a. TACTile), all
-//!   cycle-accounted and functionally validated.
-//! * [`outerspace`] — OuterSPACE (outer-product dataflow): untiled
-//!   original, S-U-C-tiled, and DRT-tiled variants (Study 2, DRAM-bound).
-//! * [`matraptor`] — MatRaptor (row-wise Gustavson): untiled, S-U-C, DRT.
-//! * [`gamma`] — extension: a GAMMA-like row-granular design with a
-//!   FiberCache (the §7 related work the paper calls nascent D-N-C).
-//! * [`hier2`] — two-level (DRAM → LLB → PE) traffic analysis composing
-//!   hierarchical DRT streams with the NoC model (§4.3).
-//! * [`sparch`] — extension: a SpArch-like outer-product design with a
-//!   multi-way merge tree (Table 2's S-N-P entry).
-//! * [`cpu`] — the Intel-MKL-like CPU roofline baseline (30 MB LLC,
-//!   68.25 GB/s) every speedup figure normalizes to.
-//! * [`taco`] — the TACO-like CPU baseline for the Gram kernel (Figure 9).
-//! * [`gram`] — ExTensor-OP(-DRT) running the 3-D Gram contraction.
-//! * [`sw`] — Study 3's software S-U-C/DRT memory-traffic oracle.
 //! * [`spec`] — declarative accelerator specs ([`spec::AccelSpec`]), the
 //!   §5.2.4 partition presets, and the name → variant [`spec::Registry`]
-//!   every bench driver selects machines through.
+//!   of all fourteen machines: ExTensor, ExTensor-OP and ExTensor-OP-DRT
+//!   (a.k.a. TACTile); OuterSPACE and MatRaptor untiled, S-U-C and DRT
+//!   (Study 2); the GAMMA-like and SpArch-like extensions; the MKL-like
+//!   CPU roofline; and Study 3's software S-U-C / DRT. The per-machine
+//!   closed-form models behind the registry are crate-private.
+//! * [`session`] — the unified run API ([`session::Session`]): the one
+//!   entry point fronting the engine and every registered variant.
+//! * [`workload`] — the unified typed request API: one
+//!   [`workload::Workload`] enum covering every session entry point,
+//!   wrapped in [`workload::Request`] / [`workload::Response`] pairs that
+//!   standalone sessions and the `drt-serve` pool execute identically.
 //! * [`engine`] — the shared SpMSpM simulation engine: task streams from
 //!   `drt-core`, stationarity-aware input reuse, an LRU output-tile cache
 //!   for partial-sum spilling, intersection/PE cycle models, and functional
 //!   output collection for validation. Supports sharded parallel execution
 //!   with a deterministic reduction — reports and traces are bit-identical
 //!   across thread counts.
-//! * [`incremental`] — incremental re-execution across operand deltas:
-//!   a cross-run plan cache plus content-addressed per-task result
-//!   splicing, bit-identical to from-scratch runs.
-//! * [`session`] — the unified run API ([`session::Session`]): the one
-//!   blessed entry point fronting the engine and every registered variant.
+//! * [`cpu`] — the CPU parameters ([`cpu::CpuSpec`]: 30 MB LLC,
+//!   68.25 GB/s) of the MKL-like baseline every speedup figure
+//!   normalizes to.
 //! * [`pipeline`] — multi-stage fused pipelines over one co-tiling
 //!   ([`pipeline::PipelineSpec`]): MTTKRP over CSF, fused SDDMM→SpMM,
 //!   and A·B·C chains, with tile-resident inter-stage intermediates and
 //!   per-stage phase breakdowns.
-//! * [`workload`] — the unified typed request API: one
-//!   [`workload::Workload`] enum covering every session entry point,
-//!   wrapped in [`workload::Request`] / [`workload::Response`] pairs that
-//!   standalone sessions and the `drt-serve` pool execute identically.
+//! * [`incremental`] — incremental re-execution across operand deltas:
+//!   a cross-run plan cache plus content-addressed per-task result
+//!   splicing, bit-identical to from-scratch runs.
+//! * [`hier2`] — two-level (DRAM → LLB → PE) traffic analysis composing
+//!   hierarchical DRT streams with the NoC model (§4.3).
+//! * [`taco`] — the TACO-like CPU baseline for the Gram kernel (Figure 9).
+//! * [`gram`] — ExTensor-OP(-DRT) running the 3-D Gram contraction.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
@@ -49,19 +48,17 @@
 pub mod cpu;
 pub mod engine;
 pub mod error;
-pub mod extensor;
-pub mod gamma;
+pub(crate) mod gamma;
 pub mod gram;
 pub mod hier2;
 pub mod incremental;
-pub mod matraptor;
-pub mod outerspace;
+pub(crate) mod matraptor;
+pub(crate) mod outerspace;
 pub mod pipeline;
 pub mod report;
 pub mod session;
-pub mod sparch;
+pub(crate) mod sparch;
 pub mod spec;
-pub mod sw;
 pub mod taco;
 pub mod workload;
 pub mod zcache;

@@ -860,6 +860,7 @@ fn run_ttv(
 mod tests {
     use super::*;
     use crate::session::Session;
+    use crate::workload::Workload;
     use drt_workloads::patterns::unstructured;
     use drt_workloads::tensor3::{dense_factor, skewed_tensor};
 
@@ -938,7 +939,10 @@ mod tests {
         let b = dense_factor(24, 4, 10);
         let c = dense_factor(28, 4, 11);
         let session = Session::new(AccelSpec::extensor_op_drt()).hierarchy(&small_hier());
-        let r = session.run_mttkrp(&x, &b, &c).expect("mttkrp");
+        let r = session
+            .run_workload(&Workload::mttkrp(x.clone(), b.clone(), c.clone()))
+            .expect("mttkrp")
+            .into_report();
         assert_eq!(r.maccs, drt_kernels::mttkrp::mttkrp_maccs(&x, 4));
         let want = drt_kernels::mttkrp::mttkrp(&x, &b, &c).m.to_sparse(MajorAxis::Row);
         assert!(r.output.as_ref().expect("out").approx_eq(&want, 1e-9));
@@ -953,7 +957,10 @@ mod tests {
         let want = drt_kernels::ttv::ttv(&x, &v);
         for spec in [AccelSpec::extensor_op_drt(), AccelSpec::extensor_op()] {
             let session = Session::new(spec).hierarchy(&small_hier());
-            let r = session.run_ttv(&x, &v).expect("ttv");
+            let r = session
+                .run_workload(&Workload::ttv(x.clone(), v.clone()))
+                .expect("ttv")
+                .into_report();
             assert_eq!(r.maccs, x.nnz() as u64);
             assert!(r.output.as_ref().expect("out").approx_eq(&want, 1e-9));
             assert!(r.phase_partition_violation().is_none());
@@ -966,7 +973,8 @@ mod tests {
         let b = dense_factor(8, 2, 1);
         let c = dense_factor(8, 2, 2);
         let session = Session::new(AccelSpec::outerspace());
-        let err = session.run_mttkrp(&x, &b, &c).expect_err("analytic must reject");
+        let err =
+            session.run_workload(&Workload::mttkrp(x, b, c)).expect_err("analytic must reject");
         assert!(err.to_string().contains("engine-backed"), "{err}");
     }
 }

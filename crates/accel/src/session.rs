@@ -36,7 +36,7 @@ use drt_core::plancache::PlanCache;
 use drt_core::probe::Probe;
 use drt_core::CoreError;
 use drt_sim::memory::HierarchySpec;
-use drt_tensor::{CsMatrix, CsfTensor, DenseMatrix};
+use drt_tensor::CsMatrix;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -249,9 +249,9 @@ impl Session {
         self.run_ref(WorkloadRef::Spmspm { a, b })
     }
 
-    /// **The** execution path: every session entry point — the legacy
-    /// `run_*` wrappers, owned [`Workload`]s, queued [`Request`]s —
-    /// lowers to a [`WorkloadRef`] and lands here, so a workload produces
+    /// **The** execution path: every session entry point — borrowed
+    /// operands, owned [`Workload`]s, queued [`Request`]s — lowers to a
+    /// [`WorkloadRef`] and lands here, so a workload produces
     /// the same report bit for bit no matter which door it came in
     /// through.
     ///
@@ -284,10 +284,9 @@ impl Session {
         }
     }
 
-    /// Run an owned [`Workload`] — the typed-request form of the `run_*`
-    /// wrappers. MTTKRP and TTV workloads lower to their one-stage
-    /// pipelines, exactly as [`Session::run_mttkrp`] / [`Session::run_ttv`]
-    /// always did, so reports are bit-identical either way.
+    /// Run an owned [`Workload`]. MTTKRP and TTV workloads lower to their
+    /// one-stage [`PipelineSpec::mttkrp`] / [`PipelineSpec::ttv`]
+    /// pipelines.
     ///
     /// # Errors
     ///
@@ -377,32 +376,6 @@ impl Session {
         self.run_ref(WorkloadRef::Pipeline { input, pipe }).map(RunOutcome::into_report)
     }
 
-    /// MTTKRP over a CSF 3-tensor: `M_ir = Σ_jk χ_ijk · B_jr · C_kr`.
-    /// Shorthand for a one-stage [`PipelineSpec::mttkrp`] pipeline.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Session::run_pipeline`].
-    pub fn run_mttkrp(
-        &self,
-        x: &CsfTensor,
-        b: &DenseMatrix,
-        c: &DenseMatrix,
-    ) -> Result<RunReport, DrtError> {
-        self.run_pipeline(PipelineInput::Tensor(x), &PipelineSpec::mttkrp(b.clone(), c.clone()))
-    }
-
-    /// Tensor-times-vector over a CSF 3-tensor's last mode:
-    /// `Y_ij = Σ_k χ_ijk · v_k`. Shorthand for a one-stage
-    /// [`PipelineSpec::ttv`] pipeline.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Session::run_pipeline`].
-    pub fn run_ttv(&self, x: &CsfTensor, v: &[f64]) -> Result<RunReport, DrtError> {
-        self.run_pipeline(PipelineInput::Tensor(x), &PipelineSpec::ttv(v.to_vec()))
-    }
-
     /// The declarative spec this session targets, when built from one
     /// (`None` for [`Session::from_engine_config`] sessions).
     pub fn spec(&self) -> Option<&AccelSpec> {
@@ -444,7 +417,10 @@ mod tests {
     fn registry_session_matches_direct_spec_run() {
         let a = unstructured(96, 96, 700, 2.0, 3);
         let hier = HierarchySpec::default().scaled_down(256);
-        let direct = AccelSpec::extensor_op_drt().run(&a, &a, &RunCtx::new(&hier)).expect("direct");
+        let direct = AccelSpec::extensor_op_drt()
+            .run_ft(&a, &a, &RunCtx::new(&hier))
+            .expect("direct")
+            .into_report();
         let via_session = Session::from_registry("tactile")
             .expect("alias must resolve")
             .hierarchy(&hier)
@@ -495,26 +471,5 @@ mod tests {
             "{:?}",
             direct.bit_diff(via_request.report())
         );
-    }
-
-    #[test]
-    fn workload_forms_match_their_legacy_wrappers() {
-        use crate::workload::Workload;
-        use drt_workloads::tensor3::{dense_factor, Tensor3Gen};
-        let hier = HierarchySpec::default().scaled_down(256);
-        let session = Session::new(AccelSpec::extensor_op()).hierarchy(&hier);
-        let x = Tensor3Gen::mode_skewed(24, 20, 22, 600, 5).generate();
-        let (b, c) = (dense_factor(20, 8, 1), dense_factor(22, 8, 2));
-        let legacy = session.run_mttkrp(&x, &b, &c).expect("legacy mttkrp");
-        let typed = session
-            .run_workload(&Workload::mttkrp(x.clone(), b.clone(), c.clone()))
-            .expect("typed mttkrp")
-            .into_report();
-        assert!(legacy.bit_diff(&typed).is_none(), "{:?}", legacy.bit_diff(&typed));
-
-        let v: Vec<f64> = (0..22).map(|k| 1.0 + k as f64 * 0.25).collect();
-        let legacy = session.run_ttv(&x, &v).expect("legacy ttv");
-        let typed = session.run_workload(&Workload::ttv(x, v)).expect("typed ttv").into_report();
-        assert!(legacy.bit_diff(&typed).is_none(), "{:?}", legacy.bit_diff(&typed));
     }
 }

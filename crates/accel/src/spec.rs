@@ -4,10 +4,10 @@
 //! name, a [`SpecKind`] (either a configuration of the shared simulation
 //! [`crate::engine`] or one of the closed-form analytic models), and a
 //! byte-accounting [`SizeModel`]. [`Registry::standard`] maps stable
-//! variant names (`"extensor-op-drt"`, `"outerspace"`, …) to specs so
-//! bench drivers and tests can select machines by name instead of
-//! hard-wiring per-module `run_*` calls; those `run_*` entry points are
-//! now thin wrappers over [`AccelSpec::run`].
+//! variant names (`"extensor-op-drt"`, `"outerspace"`, …) to specs, and
+//! every variant runs through [`crate::session::Session`] — the one door
+//! for SpMSpM runs. Design-space sweeps start from a registered spec and
+//! perturb one [`EngineSpec`] field.
 //!
 //! The spec layer is also where the paper's static buffer-partition
 //! tables live ([`PartitionPreset`], §5.2.4 / §6.6) — previously each
@@ -78,6 +78,10 @@ impl PartitionPreset {
     }
 }
 
+/// Number of S-U-C candidate shapes swept per workload (the paper sweeps
+/// static shapes and reports the best, §5.2.1).
+const SUC_SWEEP_CANDIDATES: usize = 8;
+
 /// Tiling scheme selected by a spec — the engine's [`Tiling`] plus the
 /// offline S-U-C shape sweep the paper grants static baselines (§5.2.1).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -94,8 +98,7 @@ pub enum TilingSpec {
 }
 
 /// Declarative configuration of an engine-simulated variant. Resolved
-/// against a [`RunCtx`]'s hierarchy into an [`EngineConfig`] by
-/// [`AccelSpec::run`].
+/// against a [`RunCtx`]'s hierarchy into an [`EngineConfig`] at run time.
 #[derive(Debug, Clone, PartialEq)]
 pub struct EngineSpec {
     /// Report label (the paper's machine name, e.g. `"ExTensor-OP-DRT"`).
@@ -362,30 +365,6 @@ fn engine_preflight(a: &CsMatrix, b: &CsMatrix, cfg: &EngineConfig) -> Result<()
 }
 
 impl AccelSpec {
-    /// Run this variant on `Z = A · B`.
-    ///
-    /// A thin wrapper over [`AccelSpec::run_ft`] that flattens the
-    /// outcome (a degraded run's report carries its `degradation` field)
-    /// and unwraps [`DrtError::Core`]. A shard that exhausted its retries
-    /// panics here, preserving the legacy contract; use `run_ft` to
-    /// handle it as a typed error instead.
-    ///
-    /// # Errors
-    ///
-    /// Propagates engine/tiling configuration errors; analytic models are
-    /// infallible and always return `Ok`.
-    pub fn run(&self, a: &CsMatrix, b: &CsMatrix, ctx: &RunCtx) -> Result<RunReport, CoreError> {
-        match self.run_ft(a, b, ctx) {
-            Ok(out) => Ok(out.into_report()),
-            Err(DrtError::Core(e)) => Err(e),
-            Err(DrtError::ShardPanicked { task_range, message, .. }) => panic!(
-                "parallel worker panicked on tasks {}..{}: {}",
-                task_range.start, task_range.end, message
-            ),
-            Err(e) => Err(CoreError::BadConfig { detail: e.to_string() }),
-        }
-    }
-
     /// Fault-tolerant run of this variant on `Z = A · B`: the full
     /// outcome taxonomy of `engine::run_spmspm_ft`, made uniform across
     /// every registered variant. An expired token or a zero task budget
@@ -486,9 +465,9 @@ impl AccelSpec {
         }
     }
 
-    /// The concrete [`EngineConfig`] a `run(a, b, ctx)` call would
+    /// The concrete [`EngineConfig`] a `run_ft(a, b, ctx)` call would
     /// execute, with every data-dependent knob resolved: the S-U-C sweep's
-    /// winning shape (found by running the sweep, as `run` does) and the
+    /// winning shape (found by running the sweep, as `run_ft` does) and the
     /// adapt-micro halving (resolved by the same capacity preflight the
     /// engine applies). `None` for analytic (non-engine) variants.
     ///
@@ -498,7 +477,7 @@ impl AccelSpec {
     ///
     /// # Errors
     ///
-    /// Propagates tiling configuration errors, exactly as `run` would.
+    /// Propagates tiling configuration errors, exactly as `run_ft` would.
     pub fn resolved_engine_config(
         &self,
         a: &CsMatrix,
@@ -595,6 +574,27 @@ impl AccelSpec {
     }
 
     // ---- standard variants ------------------------------------------------
+    //
+    // The ExTensor family (paper §5.2.1) differs exactly as the paper
+    // describes:
+    //
+    // * ExTensor — the original design: S-U-C tiling at every level,
+    //   serial skip-based intersection, serial merging.
+    // * ExTensor-OP — the authors' improved baseline: same S-U-C tiling,
+    //   but an outer-product dataflow between the global and local
+    //   buffers with multiply-and-merge (partial sums reduced locally
+    //   until spilled) and a parallelized skip-based intersection unit.
+    // * ExTensor-OP-DRT (TACTile) — identical to ExTensor-OP except the
+    //   buffer-fill logic is replaced by DRT tile extractors; the only
+    //   difference is the tiling mechanism (§6.1.1).
+    //
+    // All three use the paper's B-stationary `J → K → I` dataflow at the
+    // LLB (§6.6) and the §5.2.4 configuration: static partitions shared by
+    // all workloads and 32 × 32 micro tiles (micro-tile shape only matters
+    // to the DRT variant). The §6.6 design-space knobs (Figures 14–17) are
+    // `EngineSpec` fields on `extensor_op_drt()`: `drt_override` for
+    // partitions, growth order and start tile, `micro` with
+    // `adapt_micro = false` for the micro-tile sweep.
 
     fn engine_spec(name: &str, es: EngineSpec) -> AccelSpec {
         AccelSpec {
@@ -613,7 +613,7 @@ impl AccelSpec {
         let mut es = EngineSpec::new(
             "ExTensor",
             &['j', 'k', 'i'],
-            TilingSpec::SucSweep { candidates: crate::extensor::SUC_SWEEP_CANDIDATES },
+            TilingSpec::SucSweep { candidates: SUC_SWEEP_CANDIDATES },
             PartitionPreset::ExtensorPaper,
         );
         es.intersect = IntersectUnit::SkipBased;
@@ -626,7 +626,7 @@ impl AccelSpec {
         let mut es = EngineSpec::new(
             "ExTensor-OP",
             &['j', 'k', 'i'],
-            TilingSpec::SucSweep { candidates: crate::extensor::SUC_SWEEP_CANDIDATES },
+            TilingSpec::SucSweep { candidates: SUC_SWEEP_CANDIDATES },
             PartitionPreset::ExtensorPaper,
         );
         es.intersect = IntersectUnit::Parallel(32);
@@ -658,7 +658,7 @@ impl AccelSpec {
         let mut es = EngineSpec::new(
             "OuterSPACE-SUC",
             &['k', 'i', 'j'],
-            TilingSpec::SucSweep { candidates: crate::extensor::SUC_SWEEP_CANDIDATES },
+            TilingSpec::SucSweep { candidates: SUC_SWEEP_CANDIDATES },
             PartitionPreset::OuterProduct,
         );
         es.ideal_on_chip = true;
@@ -687,7 +687,7 @@ impl AccelSpec {
         let mut es = EngineSpec::new(
             "MatRaptor-SUC",
             &['i', 'k', 'j'],
-            TilingSpec::SucSweep { candidates: crate::extensor::SUC_SWEEP_CANDIDATES },
+            TilingSpec::SucSweep { candidates: SUC_SWEEP_CANDIDATES },
             PartitionPreset::RowWise,
         );
         es.ideal_on_chip = true;
@@ -811,6 +811,104 @@ impl Registry {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::session::Session;
+    use drt_kernels::spmspm::gustavson;
+    use drt_workloads::patterns::{diamond_band, uniform_random, unstructured};
+
+    fn extensor_hier() -> HierarchySpec {
+        HierarchySpec {
+            llb: BufferSpec { capacity_bytes: 24 * 1024, ports: 2 },
+            num_pes: 16,
+            ..HierarchySpec::default()
+        }
+    }
+
+    fn run(spec: AccelSpec, a: &CsMatrix, hier: &HierarchySpec) -> RunReport {
+        Session::new(spec).hierarchy(hier).run_spmspm(a, a).expect("run")
+    }
+
+    /// Study 3 on the CPU's memory system: untiled, software S-U-C and
+    /// software DRT (alternating growth), as Figure 11 runs them.
+    fn sw_study(a: &CsMatrix, suc_tile: u32) -> [RunReport; 3] {
+        let cpu = CpuSpec { llc_bytes: 8 * 1024, ..CpuSpec::default() };
+        [AccelSpec::cpu_mkl(), AccelSpec::sw_suc(suc_tile, (8, 8)), AccelSpec::sw_dnc((8, 8))]
+            .map(|spec| Session::new(spec).cpu(cpu).run_spmspm(a, a).expect("run"))
+    }
+
+    fn improvement(untiled: &RunReport, tiled: &RunReport) -> f64 {
+        untiled.traffic.total() as f64 / tiled.traffic.total() as f64
+    }
+
+    #[test]
+    fn all_three_variants_agree_functionally() {
+        let a = unstructured(160, 160, 1100, 2.0, 11);
+        let h = extensor_hier();
+        let reference = gustavson(&a, &a).z;
+        for spec in [AccelSpec::extensor(), AccelSpec::extensor_op(), AccelSpec::extensor_op_drt()]
+        {
+            let r = run(spec, &a, &h);
+            assert!(
+                r.output.as_ref().expect("functional").approx_eq(&reference, 1e-9),
+                "{} output mismatch",
+                r.name
+            );
+        }
+    }
+
+    #[test]
+    fn drt_variant_reduces_traffic_and_time() {
+        let a = unstructured(256, 256, 1800, 2.0, 12);
+        let h = extensor_hier();
+        let op = run(AccelSpec::extensor_op(), &a, &h);
+        let drt = run(AccelSpec::extensor_op_drt(), &a, &h);
+        assert!(
+            drt.traffic.total() < op.traffic.total(),
+            "DRT traffic {} vs S-U-C {}",
+            drt.traffic.total(),
+            op.traffic.total()
+        );
+        assert!(drt.seconds <= op.seconds * 1.05, "DRT should not be slower");
+    }
+
+    #[test]
+    fn op_variant_no_slower_than_original() {
+        let a = unstructured(128, 128, 900, 2.0, 13);
+        let h = extensor_hier();
+        let ext = run(AccelSpec::extensor(), &a, &h);
+        let op = run(AccelSpec::extensor_op(), &a, &h);
+        // Same tiling; better intersection/merge hardware → never slower.
+        assert!(op.compute_cycles <= ext.compute_cycles);
+        assert!(op.seconds <= ext.seconds * 1.0001);
+    }
+
+    #[test]
+    fn dnc_beats_suc_on_random_pattern() {
+        // Figure 11: "for the random, unstructured pattern workloads, DRT
+        // consistently outperforms S-U-C".
+        let a = uniform_random(256, 256, 1600, 7);
+        let [untiled, suc, dnc] = sw_study(&a, 16);
+        let (suc, dnc) = (improvement(&untiled, &suc), improvement(&untiled, &dnc));
+        assert!(dnc >= suc, "DNC {dnc:.3} vs SUC {suc:.3}");
+    }
+
+    #[test]
+    fn all_variants_compute_same_product() {
+        let a = diamond_band(96, 1400, 9);
+        let [untiled, suc, dnc] = sw_study(&a, 16);
+        let reference = untiled.output.as_ref().expect("out");
+        assert!(suc.output.as_ref().expect("out").approx_eq(reference, 1e-9));
+        assert!(dnc.output.as_ref().expect("out").approx_eq(reference, 1e-9));
+    }
+
+    #[test]
+    fn improvements_are_finite_and_positive() {
+        let a = uniform_random(128, 128, 700, 11);
+        let [untiled, suc, dnc] = sw_study(&a, 8);
+        for tiled in [&suc, &dnc] {
+            let x = improvement(&untiled, tiled);
+            assert!(x > 0.0 && x.is_finite(), "{}: {x}", tiled.name);
+        }
+    }
 
     #[test]
     fn presets_match_paper_shares() {

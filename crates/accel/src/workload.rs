@@ -3,15 +3,13 @@
 //! [`Request`] (workload + priority + deadline + budget) and answered
 //! with a [`Response`] (a [`RunOutcome`]).
 //!
-//! Before this module, the session grew five divergent entry points
-//! (`run_spmspm`, `run_spmspm_ft`, `run_pipeline`, `run_mttkrp`,
-//! `run_ttv`), each with its own parameter shape — fine for one-shot
-//! callers, but a serving layer needs a single owned, queueable,
-//! cheaply-clonable description of "what to run". That is exactly what
-//! [`Workload`] is: operands ride behind [`Arc`]s so a request can be
-//! queued, retried, or fanned out without copying matrix data, and
-//! [`crate::session::Session::execute`] runs any of them through the same
-//! code path the legacy methods now delegate to. A request executed by
+//! The borrowed-operand session methods (`run_spmspm`, `run_spmspm_ft`,
+//! `run_pipeline`) suit one-shot callers, but a serving layer needs a
+//! single owned, queueable, cheaply-clonable description of "what to
+//! run". That is exactly what [`Workload`] is: operands ride behind
+//! [`Arc`]s so a request can be queued, retried, or fanned out without
+//! copying matrix data, and [`crate::session::Session::execute`] runs any
+//! of them through the same code path the borrowed-operand methods use. A request executed by
 //! `drt-serve` and the same request executed by a standalone session
 //! produce bit-identical [`crate::report::RunReport`]s — that is the
 //! serving layer's conformance contract.
@@ -157,7 +155,7 @@ pub enum Workload {
         /// The stages and fusion discipline.
         pipe: Arc<PipelineSpec>,
     },
-    /// MTTKRP over a CSF 3-tensor (formerly `Session::run_mttkrp`).
+    /// MTTKRP over a CSF 3-tensor: `M_ir = Σ_jk χ_ijk · B_jr · C_kr`.
     Mttkrp {
         /// The sparse 3-tensor.
         x: Arc<CsfTensor>,
@@ -166,8 +164,8 @@ pub enum Workload {
         /// Mode-2 dense factor, `K × R`.
         c: Arc<DenseMatrix>,
     },
-    /// Tensor-times-vector over a CSF 3-tensor's last mode (formerly
-    /// `Session::run_ttv`).
+    /// Tensor-times-vector over a CSF 3-tensor's last mode:
+    /// `Y_ij = Σ_k χ_ijk · v_k`.
     Ttv {
         /// The sparse 3-tensor.
         x: Arc<CsfTensor>,

@@ -3,16 +3,18 @@
 //! kernel (the paper's §5.2.1 MKL cross-check, applied uniformly), and
 //! every report must satisfy the task-count and traffic invariants.
 //!
-//! Also pins the registry refactor's bit-identity contract: resolving a
-//! variant by name through [`Registry`] yields the same `RunReport`
-//! numbers as the legacy `run_*` wrapper entry points, and attaching an
-//! instrumentation probe never changes the simulated numbers.
+//! Also pins the session's bit-identity contracts: attaching an
+//! instrumentation probe never changes the simulated numbers, and a
+//! spec's resolved engine configuration re-runs to the same report.
 
 use drt_accel::engine::{ExecPolicy, ShardSchedule};
+use drt_accel::error::DrtError;
 use drt_accel::report::RunReport;
 use drt_accel::session::Session;
-use drt_accel::spec::{AccelSpec, Registry, RunCtx};
+use drt_accel::spec::{AccelSpec, PartitionPreset, Registry, SpecKind, TilingSpec};
+use drt_core::config::DrtConfig;
 use drt_core::probe::{CountingSink, JsonlSink, Probe};
+use drt_core::CoreError;
 use drt_kernels::spmspm::gustavson;
 use drt_sim::memory::HierarchySpec;
 use drt_tensor::CsMatrix;
@@ -50,12 +52,12 @@ fn check_invariants(name: &str, wl: &str, r: &RunReport) {
 #[test]
 fn every_registered_variant_matches_gustavson() {
     let registry = Registry::standard();
-    let ctx = RunCtx::new(&test_hier());
     for (wl, a) in test_workloads() {
         let reference = gustavson(&a, &a).z;
         for spec in registry.iter() {
-            let r = spec
-                .run(&a, &a, &ctx)
+            let r = Session::new(spec.clone())
+                .hierarchy(&test_hier())
+                .run_spmspm(&a, &a)
                 .unwrap_or_else(|err| panic!("{wl}/{}: run failed: {err:?}", spec.name));
             check_invariants(&spec.name, wl, &r);
             let z = r
@@ -71,45 +73,16 @@ fn every_registered_variant_matches_gustavson() {
     }
 }
 
-/// Registry-resolved runs must be bit-identical to the legacy wrapper
-/// entry points — the refactor moved the drivers, not the numbers.
-#[test]
-fn registry_matches_legacy_wrappers() {
-    let hier = test_hier();
-    let ctx = RunCtx::new(&hier);
-    let a = rmat(128, 2_000, 0.57, 0.19, 0.19, 7);
-    let registry = Registry::standard();
-    let legacy: Vec<(&str, RunReport)> = vec![
-        ("extensor", drt_accel::extensor::run_extensor(&a, &a, &hier).expect("extensor")),
-        ("extensor-op", drt_accel::extensor::run_extensor_op(&a, &a, &hier).expect("op")),
-        ("extensor-op-drt", drt_accel::extensor::run_tactile(&a, &a, &hier).expect("drt")),
-        ("outerspace-drt", drt_accel::outerspace::run_drt(&a, &a, &hier).expect("os-drt")),
-        ("matraptor-drt", drt_accel::matraptor::run_drt(&a, &a, &hier).expect("mr-drt")),
-    ];
-    for (name, want) in legacy {
-        let got = registry
-            .get(name)
-            .expect("registered")
-            .run(&a, &a, &ctx)
-            .unwrap_or_else(|err| panic!("{name}: {err:?}"));
-        assert_eq!(got.traffic, want.traffic, "{name}: traffic diverged");
-        assert_eq!(got.compute_cycles, want.compute_cycles, "{name}: cycles diverged");
-        assert_eq!(got.seconds.to_bits(), want.seconds.to_bits(), "{name}: seconds diverged");
-        assert_eq!(got.tasks, want.tasks, "{name}: task count diverged");
-        assert_eq!(got.skipped_tasks, want.skipped_tasks, "{name}: skip count diverged");
-    }
-}
-
 /// Attaching a probe observes the run — it must never perturb it.
 #[test]
 fn probe_does_not_perturb_reports() {
     let hier = test_hier();
     let a = diamond_band(96, 1_500, 13);
-    let spec = AccelSpec::extensor_op_drt();
-    let plain = spec.run(&a, &a, &RunCtx::new(&hier)).expect("plain");
+    let session = Session::new(AccelSpec::extensor_op_drt()).hierarchy(&hier);
+    let plain = session.run_spmspm(&a, &a).expect("plain");
     let sink = Arc::new(CountingSink::new());
-    let probed_ctx = RunCtx::new(&hier).with_probe(Probe::new(sink.clone()));
-    let probed = spec.run(&a, &a, &probed_ctx).expect("probed");
+    let probed =
+        session.clone().probe(Probe::new(sink.clone())).run_spmspm(&a, &a).expect("probed");
     assert_eq!(plain.traffic, probed.traffic);
     assert_eq!(plain.seconds.to_bits(), probed.seconds.to_bits());
     assert_eq!(plain.tasks, probed.tasks);
@@ -156,6 +129,61 @@ fn every_variant_bit_identical_across_thread_counts() {
             );
         }
     }
+}
+
+/// A spec's resolved engine configuration is a faithful record of the
+/// run: re-running it verbatim through `Session::from_engine_config`
+/// reproduces the spec run bit for bit. For S-U-C-swept variants this is
+/// what lets a caller sweep once per workload and reuse the winning shape
+/// (Figure 8's per-BFS-level runs).
+#[test]
+fn resolved_engine_config_reruns_bit_identically() {
+    let hier = test_hier();
+    let mut swept = 0;
+    for (wl, a) in test_workloads() {
+        for spec in Registry::standard().iter() {
+            let session = Session::new(spec.clone()).hierarchy(&hier);
+            let Some(cfg) = session.resolved_engine_config(&a, &a).expect("resolve") else {
+                continue;
+            };
+            let direct = session.run_spmspm(&a, &a).expect("spec run");
+            let rerun = Session::from_engine_config(cfg).run_spmspm(&a, &a).expect("config run");
+            assert!(
+                direct.bit_diff(&rerun).is_none(),
+                "{wl}/{}: {}",
+                spec.name,
+                direct.bit_diff(&rerun).unwrap()
+            );
+            if let SpecKind::Engine(es) = &spec.kind {
+                swept += usize::from(matches!(es.tiling, TilingSpec::SucSweep { .. }));
+            }
+        }
+    }
+    assert_eq!(swept, 4 * test_workloads().len(), "every S-U-C-swept variant must be covered");
+}
+
+/// The §6.6 design-space sweeps pin the micro-tile shape: with
+/// `adapt_micro = false` an oversized micro tile is a typed
+/// `TileTooLarge` error (the sweep prints it as out-of-memory), never a
+/// silently halved shape.
+#[test]
+fn pinned_micro_shape_reports_tile_too_large() {
+    let hier = test_hier();
+    let a = rmat(128, 2_000, 0.57, 0.19, 0.19, 7);
+    let sized = |adapt_micro: bool| {
+        let mut spec = AccelSpec::extensor_op_drt();
+        let SpecKind::Engine(es) = &mut spec.kind else { unreachable!("engine variant") };
+        es.drt_override = Some(DrtConfig::new(
+            PartitionPreset::ExtensorPaper.partitions(hier.llb.capacity_bytes),
+        ));
+        es.micro = (64, 64);
+        es.adapt_micro = adapt_micro;
+        Session::new(spec).hierarchy(&hier).run_spmspm(&a, &a)
+    };
+    let err = sized(false).expect_err("a 64x64 micro tile cannot fit the scaled-down LLB");
+    assert!(matches!(err, DrtError::Core(CoreError::TileTooLarge { .. })), "got {err:?}");
+    let adapted = sized(true).expect("adapt_micro halves the shape until it fits");
+    assert!(adapted.maccs > 0);
 }
 
 /// A `Write` that appends into a shared buffer, so a JSONL trace can be
@@ -208,11 +236,13 @@ fn every_variant_trace_identical_across_thread_counts() {
 /// sum to the total DRAM traffic for every engine-simulated variant.
 #[test]
 fn phase_bytes_sum_to_traffic() {
-    let hier = test_hier();
-    let ctx = RunCtx::new(&hier);
     let a = rmat(64, 800, 0.45, 0.25, 0.2, 11);
     for name in ["extensor", "extensor-op", "extensor-op-drt"] {
-        let r = Registry::standard().get(name).expect("registered").run(&a, &a, &ctx).expect("run");
+        let r = Session::from_registry(name)
+            .expect("registered")
+            .hierarchy(&test_hier())
+            .run_spmspm(&a, &a)
+            .expect("run");
         assert_eq!(
             r.phases.total_bytes(),
             r.traffic.total(),

@@ -3,15 +3,28 @@
 //! tighter but cost more Aggregate metadata reads; coarser steps trade
 //! occupancy for extraction work.
 
+use drt_accel::session::Session;
+use drt_accel::spec::{AccelSpec, PartitionPreset, SpecKind};
 use drt_bench::{banner, emit_json, geomean, BenchOpts, JsonVal};
 use drt_core::config::DrtConfig;
 use drt_workloads::suite::Catalog;
+
+/// ExTensor-OP-DRT with a hand-built `DrtConfig` and a pinned micro-tile
+/// shape: an oversized micro tile is an error, never silently halved.
+fn op_drt_with(drt: DrtConfig, micro: (u32, u32)) -> AccelSpec {
+    let mut spec = AccelSpec::extensor_op_drt();
+    let SpecKind::Engine(es) = &mut spec.kind else { unreachable!("engine-simulated") };
+    es.drt_override = Some(drt);
+    es.micro = micro;
+    es.adapt_micro = false;
+    spec
+}
 
 fn main() {
     let opts = BenchOpts::from_args();
     banner("Ablation: DRT grow step n (Algorithm 2 line 13)", &opts);
     let hier = opts.hierarchy();
-    let parts = drt_accel::extensor::paper_partitions(hier.llb.capacity_bytes);
+    let parts = PartitionPreset::ExtensorPaper.partitions(hier.llb.capacity_bytes);
 
     let workloads: Vec<_> = if opts.quick {
         Catalog::sweep_subset().into_iter().take(2).collect()
@@ -29,7 +42,7 @@ fn main() {
         for entry in &workloads {
             let a = entry.generate(opts.scale, opts.seed);
             let cfg = DrtConfig::new(parts.clone()).with_grow_step(n);
-            match drt_accel::extensor::run_tactile_custom(&a, &a, &hier, cfg, (32, 32)) {
+            match Session::new(op_drt_with(cfg, (32, 32))).hierarchy(&hier).run_spmspm(&a, &a) {
                 Ok(r) => {
                     traffic.push(r.traffic.total() as f64 / 1e6);
                     words.push(r.actions.extractor_words as f64);

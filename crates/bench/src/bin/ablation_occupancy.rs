@@ -4,6 +4,7 @@
 //! per-tile non-zero variation between DRT and the best dense-safe static
 //! shape.
 
+use drt_accel::spec::PartitionPreset;
 use drt_bench::{banner, emit_json, BenchOpts, JsonVal};
 use drt_core::config::DrtConfig;
 use drt_core::kernel::Kernel;
@@ -16,7 +17,7 @@ fn main() {
     let opts = BenchOpts::from_args();
     banner("Ablation: buffer occupancy — DRT vs dense-safe S-U-C", &opts);
     let hier = opts.hierarchy();
-    let parts = drt_accel::extensor::paper_partitions(hier.llb.capacity_bytes);
+    let parts = PartitionPreset::ExtensorPaper.partitions(hier.llb.capacity_bytes);
 
     let workloads: Vec<_> = if opts.quick {
         Catalog::sweep_subset().into_iter().take(2).collect()

@@ -2,6 +2,8 @@
 //! evaluation matrices, for OuterSPACE, MatRaptor, ExTensor, and
 //! ExTensor-OP-DRT, with the per-design traffic lower bound (red squares).
 
+use drt_accel::session::Session;
+use drt_accel::spec::AccelSpec;
 use drt_bench::{banner, emit_json, BenchOpts, JsonVal};
 use drt_sim::traffic::TrafficCounter;
 use drt_workloads::suite::Catalog;
@@ -26,11 +28,18 @@ fn main() {
         let a = entry.generate(opts.scale, opts.seed);
         eprintln!("  {} ({}x{}, {} nnz)…", entry.name, a.nrows(), a.ncols(), a.nnz());
         let runs = [
-            drt_accel::outerspace::run_untiled(&a, &a, &hier),
-            drt_accel::matraptor::run_untiled(&a, &a, &hier),
-            drt_accel::extensor::run_extensor(&a, &a, &hier).expect("extensor run"),
-            drt_accel::extensor::run_tactile(&a, &a, &hier).expect("tactile run"),
-        ];
+            AccelSpec::outerspace(),
+            AccelSpec::matraptor(),
+            AccelSpec::extensor(),
+            AccelSpec::extensor_op_drt(),
+        ]
+        .map(|spec| {
+            let name = spec.name.clone();
+            Session::new(spec)
+                .hierarchy(&hier)
+                .run_spmspm(&a, &a)
+                .unwrap_or_else(|e| panic!("{name} run: {e}"))
+        });
         let z = runs[2].output.as_ref().expect("functional output");
         lower.merge(&drt_sim::traffic::spmspm_lower_bound(&a, &a, z, &Default::default()));
         for (slot, run) in totals.iter_mut().zip(runs.iter()) {

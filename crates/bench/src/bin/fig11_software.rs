@@ -2,6 +2,9 @@
 //! improvement over the untiled CPU SpMSpM, as input density varies, for
 //! diamond-band and random sparsity patterns.
 
+use drt_accel::report::RunReport;
+use drt_accel::session::Session;
+use drt_accel::spec::AccelSpec;
 use drt_bench::{banner, emit_json, BenchOpts, JsonVal};
 use drt_workloads::patterns::{diamond_band, uniform_random};
 
@@ -31,32 +34,34 @@ fn main() {
             ("diamond", diamond_band(n, nnz, opts.seed)),
             ("random", uniform_random(n, n, nnz, opts.seed)),
         ] {
-            let cmp = match drt_accel::sw::run_comparison(&a, &cpu, suc_tile, micro) {
-                Ok(c) => c,
-                Err(e) => {
-                    println!("{:<12} {:>10.1e} {:>12} {:>12}  ({e})", pattern, d, "-", "-");
-                    continue;
-                }
-            };
-            println!(
-                "{:<12} {:>10.1e} {:>12.3} {:>12.3}",
-                pattern,
-                d,
-                cmp.suc_improvement(),
-                cmp.dnc_improvement()
-            );
+            // Study 3's variants run on the CPU's memory system: software
+            // S-U-C and software DRT against the untiled CPU SpMSpM.
+            let run = |spec: AccelSpec| Session::new(spec).cpu(cpu).run_spmspm(&a, &a);
+            let (suc, dnc) =
+                match (run(AccelSpec::sw_suc(suc_tile, micro)), run(AccelSpec::sw_dnc(micro))) {
+                    (Ok(suc), Ok(dnc)) => (suc, dnc),
+                    (Err(e), _) | (_, Err(e)) => {
+                        println!("{:<12} {:>10.1e} {:>12} {:>12}  ({e})", pattern, d, "-", "-");
+                        continue;
+                    }
+                };
+            let untiled = run(AccelSpec::cpu_mkl()).expect("cpu baseline");
+            let improvement =
+                |r: &RunReport| untiled.traffic.total() as f64 / r.traffic.total() as f64;
+            let (suc_x, dnc_x) = (improvement(&suc), improvement(&dnc));
+            println!("{:<12} {:>10.1e} {:>12.3} {:>12.3}", pattern, d, suc_x, dnc_x);
             emit_json(
                 &opts,
                 &[
                     ("figure", JsonVal::S("fig11".into())),
                     ("pattern", JsonVal::S(pattern.into())),
                     ("density", JsonVal::F(d)),
-                    ("suc_improvement", JsonVal::F(cmp.suc_improvement())),
-                    ("dnc_improvement", JsonVal::F(cmp.dnc_improvement())),
+                    ("suc_improvement", JsonVal::F(suc_x)),
+                    ("dnc_improvement", JsonVal::F(dnc_x)),
                 ],
             );
-            all_suc.push(cmp.suc_improvement());
-            all_dnc.push(cmp.dnc_improvement());
+            all_suc.push(suc_x);
+            all_dnc.push(dnc_x);
         }
     }
     println!(

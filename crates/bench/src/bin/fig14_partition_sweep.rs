@@ -1,10 +1,22 @@
 //! Figure 14: LLB buffer-partition sweep — geomean runtime as the A/B/O
 //! allocation shares vary (B-stationary dataflow; O gets the remainder).
 
-use drt_accel::spec::PartitionPreset;
+use drt_accel::session::Session;
+use drt_accel::spec::{AccelSpec, PartitionPreset, SpecKind};
 use drt_bench::{banner, emit_json, geomean, BenchOpts, JsonVal};
 use drt_core::config::{DrtConfig, Partitions};
 use drt_workloads::suite::Catalog;
+
+/// ExTensor-OP-DRT with a hand-built `DrtConfig` and a pinned micro-tile
+/// shape: an oversized micro tile is an error, never silently halved.
+fn op_drt_with(drt: DrtConfig, micro: (u32, u32)) -> AccelSpec {
+    let mut spec = AccelSpec::extensor_op_drt();
+    let SpecKind::Engine(es) = &mut spec.kind else { unreachable!("engine-simulated") };
+    es.drt_override = Some(drt);
+    es.micro = micro;
+    es.adapt_micro = false;
+    spec
+}
 
 fn main() {
     let opts = BenchOpts::from_args();
@@ -18,6 +30,9 @@ fn main() {
         Catalog::sweep_subset()
     };
     let matrices: Vec<_> = workloads.iter().map(|e| e.generate(opts.scale, opts.seed)).collect();
+    let run = |a: &drt_tensor::CsMatrix, parts: Partitions| {
+        Session::new(op_drt_with(DrtConfig::new(parts), (32, 32))).hierarchy(&hier).run_spmspm(a, a)
+    };
 
     let steps: Vec<f64> = if opts.quick {
         vec![0.1, 0.3, 0.5, 0.7]
@@ -30,17 +45,7 @@ fn main() {
     let preset = PartitionPreset::ExtensorPaper;
     let baseline: Vec<f64> = matrices
         .iter()
-        .filter_map(|a| {
-            drt_accel::extensor::run_tactile_custom(
-                a,
-                a,
-                &hier,
-                DrtConfig::new(preset.partitions(llb)),
-                (32, 32),
-            )
-            .ok()
-            .map(|r| r.seconds * 1e3)
-        })
+        .filter_map(|a| run(a, preset.partitions(llb)).ok().map(|r| r.seconds * 1e3))
         .collect();
     let baseline_ms = geomean(&baseline);
     let shares = preset.shares();
@@ -76,13 +81,7 @@ fn main() {
             let mut times = Vec::new();
             let mut feasible = true;
             for a in &matrices {
-                match drt_accel::extensor::run_tactile_custom(
-                    a,
-                    a,
-                    &hier,
-                    DrtConfig::new(parts.clone()),
-                    (32, 32),
-                ) {
+                match run(a, parts.clone()) {
                     Ok(r) => times.push(r.seconds * 1e3),
                     Err(_) => {
                         feasible = false;

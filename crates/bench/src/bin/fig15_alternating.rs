@@ -2,9 +2,22 @@
 //! the default greedy contracted-first variant (traffic and runtime
 //! ratios; lower is better, 1.0 = parity).
 
+use drt_accel::session::Session;
+use drt_accel::spec::{AccelSpec, PartitionPreset, SpecKind};
 use drt_bench::{banner, emit_json, geomean, BenchOpts, JsonVal};
 use drt_core::config::{DrtConfig, GrowthOrder};
 use drt_workloads::suite::Catalog;
+
+/// ExTensor-OP-DRT with a hand-built `DrtConfig` and a pinned micro-tile
+/// shape: an oversized micro tile is an error, never silently halved.
+fn op_drt_with(drt: DrtConfig, micro: (u32, u32)) -> AccelSpec {
+    let mut spec = AccelSpec::extensor_op_drt();
+    let SpecKind::Engine(es) = &mut spec.kind else { unreachable!("engine-simulated") };
+    es.drt_override = Some(drt);
+    es.micro = micro;
+    es.adapt_micro = false;
+    spec
+}
 
 fn main() {
     let opts = BenchOpts::from_args();
@@ -30,29 +43,19 @@ fn main() {
         ]
     };
     let catalog = Catalog::paper_table3();
-    let parts = drt_accel::extensor::paper_partitions(hier.llb.capacity_bytes);
+    let parts = PartitionPreset::ExtensorPaper.partitions(hier.llb.capacity_bytes);
 
     println!("\n{:<20} {:>16} {:>16}", "workload", "traffic overhead", "runtime overhead");
     let (mut t_ovh, mut r_ovh) = (Vec::new(), Vec::new());
     for name in names {
         let entry = catalog.get(name).expect("name in Table 3");
         let a = entry.generate(opts.scale, opts.seed);
-        let greedy = drt_accel::extensor::run_tactile_custom(
-            &a,
-            &a,
-            &hier,
-            DrtConfig::new(parts.clone()),
-            (32, 32),
-        )
-        .expect("greedy");
-        let alt = drt_accel::extensor::run_tactile_custom(
-            &a,
-            &a,
-            &hier,
-            DrtConfig::new(parts.clone()).with_growth(GrowthOrder::Alternating),
-            (32, 32),
-        )
-        .expect("alternating");
+        let run = |growth| {
+            let drt = DrtConfig::new(parts.clone()).with_growth(growth);
+            Session::new(op_drt_with(drt, (32, 32))).hierarchy(&hier).run_spmspm(&a, &a)
+        };
+        let greedy = run(GrowthOrder::default()).expect("greedy");
+        let alt = run(GrowthOrder::Alternating).expect("alternating");
         let to = alt.traffic.total() as f64 / greedy.traffic.total() as f64;
         let ro = alt.seconds / greedy.seconds;
         println!("{:<20} {:>16.3} {:>16.3}", name, to, ro);

@@ -1,15 +1,28 @@
 //! Figure 16: runtime sensitivity to DRT's starting tile size along the
 //! `J` rank (which shapes the stationary `B` tile before growth begins).
 
+use drt_accel::session::Session;
+use drt_accel::spec::{AccelSpec, PartitionPreset, SpecKind};
 use drt_bench::{banner, emit_json, BenchOpts, JsonVal};
 use drt_core::config::DrtConfig;
 use drt_workloads::suite::Catalog;
+
+/// ExTensor-OP-DRT with a hand-built `DrtConfig` and a pinned micro-tile
+/// shape: an oversized micro tile is an error, never silently halved.
+fn op_drt_with(drt: DrtConfig, micro: (u32, u32)) -> AccelSpec {
+    let mut spec = AccelSpec::extensor_op_drt();
+    let SpecKind::Engine(es) = &mut spec.kind else { unreachable!("engine-simulated") };
+    es.drt_override = Some(drt);
+    es.micro = micro;
+    es.adapt_micro = false;
+    spec
+}
 
 fn main() {
     let opts = BenchOpts::from_args();
     banner("Figure 16: runtime vs starting tile size (1 x J)", &opts);
     let hier = opts.hierarchy();
-    let parts = drt_accel::extensor::paper_partitions(hier.llb.capacity_bytes);
+    let parts = PartitionPreset::ExtensorPaper.partitions(hier.llb.capacity_bytes);
 
     let names: &[&str] = if opts.quick {
         &["bcsstk17", "scircuit"]
@@ -43,7 +56,7 @@ fn main() {
         print!("{:<20}", name);
         for &s in starts {
             let cfg = DrtConfig::new(parts.clone()).with_initial_size('j', s);
-            match drt_accel::extensor::run_tactile_custom(&a, &a, &hier, cfg, (32, 32)) {
+            match Session::new(op_drt_with(cfg, (32, 32))).hierarchy(&hier).run_spmspm(&a, &a) {
                 Ok(r) => {
                     print!(" {:>9.4}", r.seconds * 1e3);
                     emit_json(

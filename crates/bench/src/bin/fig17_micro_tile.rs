@@ -2,15 +2,28 @@
 //! varies. Large micro tiles degenerate toward S-U-C behaviour; tiny ones
 //! pay per-micro-tile metadata overhead.
 
+use drt_accel::session::Session;
+use drt_accel::spec::{AccelSpec, PartitionPreset, SpecKind};
 use drt_bench::{banner, emit_json, BenchOpts, JsonVal};
 use drt_core::config::DrtConfig;
 use drt_workloads::suite::Catalog;
+
+/// ExTensor-OP-DRT with a hand-built `DrtConfig` and a pinned micro-tile
+/// shape: an oversized micro tile is an error, never silently halved.
+fn op_drt_with(drt: DrtConfig, micro: (u32, u32)) -> AccelSpec {
+    let mut spec = AccelSpec::extensor_op_drt();
+    let SpecKind::Engine(es) = &mut spec.kind else { unreachable!("engine-simulated") };
+    es.drt_override = Some(drt);
+    es.micro = micro;
+    es.adapt_micro = false;
+    spec
+}
 
 fn main() {
     let opts = BenchOpts::from_args();
     banner("Figure 17: traffic vs micro-tile shape (x by x)", &opts);
     let hier = opts.hierarchy();
-    let parts = drt_accel::extensor::paper_partitions(hier.llb.capacity_bytes);
+    let parts = PartitionPreset::ExtensorPaper.partitions(hier.llb.capacity_bytes);
 
     let names: &[&str] = if opts.quick {
         &["bcsstk17", "scircuit"]
@@ -42,13 +55,8 @@ fn main() {
         let a = entry.generate(opts.scale, opts.seed);
         print!("{:<20}", name);
         for &s in shapes {
-            match drt_accel::extensor::run_tactile_custom(
-                &a,
-                &a,
-                &hier,
-                DrtConfig::new(parts.clone()),
-                (s, s),
-            ) {
+            let spec = op_drt_with(DrtConfig::new(parts.clone()), (s, s));
+            match Session::new(spec).hierarchy(&hier).run_spmspm(&a, &a) {
                 Ok(r) => {
                     let mb = r.traffic.total() as f64 / 1e6;
                     print!(" {:>10.3}", mb);

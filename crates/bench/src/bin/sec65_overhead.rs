@@ -4,10 +4,11 @@
 //! ideal 0-cycle extractor (the paper measures < 1% difference), and
 //! reports per-design energy using the Accelergy-like model.
 
+use drt_accel::session::Session;
+use drt_accel::spec::{AccelSpec, SpecKind};
 use drt_bench::{banner, emit_json, geomean, BenchOpts, JsonVal};
 use drt_core::extractor::ExtractorModel;
 use drt_sim::energy::EnergyModel;
-use drt_sim::intersect_unit::IntersectUnit;
 use drt_workloads::suite::Catalog;
 
 fn main() {
@@ -15,6 +16,14 @@ fn main() {
     banner("Section 6.5: extractor overhead and energy", &opts);
     let hier = opts.hierarchy();
     let energy = EnergyModel::default();
+    // ExTensor-OP-DRT with the parallel extractor (the design) and with an
+    // ideal 0-cycle one; everything else identical.
+    let mut ideal_spec = AccelSpec::extensor_op_drt();
+    let SpecKind::Engine(es) = &mut ideal_spec.kind else { unreachable!("engine-simulated") };
+    es.extractor = ExtractorModel::ideal();
+    let run = |spec: AccelSpec, a: &drt_tensor::CsMatrix| {
+        Session::new(spec).hierarchy(&hier).run_spmspm(a, a)
+    };
 
     let workloads: Vec<_> = if opts.quick {
         Catalog::sweep_subset().into_iter().take(2).collect()
@@ -36,24 +45,10 @@ fn main() {
     let (mut e_ext_r, mut e_op_r, mut e_drt_r) = (Vec::new(), Vec::new(), Vec::new());
     for entry in &workloads {
         let a = entry.generate(opts.scale, opts.seed);
-        let ideal = drt_accel::extensor::run_tactile_with(
-            &a,
-            &a,
-            &hier,
-            IntersectUnit::Parallel(32),
-            ExtractorModel::ideal(),
-        )
-        .expect("ideal");
-        let real = drt_accel::extensor::run_tactile_with(
-            &a,
-            &a,
-            &hier,
-            IntersectUnit::Parallel(32),
-            ExtractorModel::parallel(),
-        )
-        .expect("parallel");
-        let ext = drt_accel::extensor::run_extensor(&a, &a, &hier).expect("extensor");
-        let op = drt_accel::extensor::run_extensor_op(&a, &a, &hier).expect("op");
+        let ideal = run(ideal_spec.clone(), &a).expect("ideal");
+        let real = run(AccelSpec::extensor_op_drt(), &a).expect("parallel");
+        let ext = run(AccelSpec::extensor(), &a).expect("extensor");
+        let op = run(AccelSpec::extensor_op(), &a).expect("op");
         let overhead = real.seconds / ideal.seconds - 1.0;
         let (e_ext, e_op, e_drt) = (
             energy.energy_joules(&ext.actions) * 1e3,

@@ -4,6 +4,8 @@
 //! (half the default 30 MB) and to NoC bandwidth (main memory dominates).
 //! At scale `s` the equivalent knee is 15 MB / s.
 
+use drt_accel::session::Session;
+use drt_accel::spec::{AccelSpec, SpecKind};
 use drt_bench::{banner, emit_json, geomean, BenchOpts, JsonVal};
 use drt_core::extractor::ExtractorModel;
 use drt_sim::memory::BufferSpec;
@@ -30,7 +32,8 @@ fn main() {
         hier.llb = BufferSpec { capacity_bytes: ((full as f64) * frac) as u64, ports: 2 };
         let mut times = Vec::new();
         for a in &matrices {
-            if let Ok(r) = drt_accel::extensor::run_tactile(a, a, &hier) {
+            let tactile = Session::new(AccelSpec::extensor_op_drt()).hierarchy(&hier);
+            if let Ok(r) = tactile.run_spmspm(a, a) {
                 times.push(r.seconds * 1e3);
             }
         }
@@ -51,17 +54,14 @@ fn main() {
     println!("\nNoC bandwidth sweep (geomean runtime, ms):");
     println!("{:>16} {:>14}", "NoC (B/cycle)", "runtime (ms)");
     for noc in [16u32, 32, 64, 128, 256] {
-        let extractor =
+        let mut spec = AccelSpec::extensor_op_drt();
+        let SpecKind::Engine(es) = &mut spec.kind else { unreachable!("engine-simulated") };
+        es.extractor =
             ExtractorModel { distribute_bytes_per_cycle: noc, ..ExtractorModel::parallel() };
+        let tactile = Session::new(spec).hierarchy(&base_hier);
         let mut times = Vec::new();
         for a in &matrices {
-            if let Ok(r) = drt_accel::extensor::run_tactile_with(
-                a,
-                a,
-                &base_hier,
-                drt_sim::intersect_unit::IntersectUnit::Parallel(32),
-                extractor,
-            ) {
+            if let Ok(r) = tactile.run_spmspm(a, a) {
                 times.push(r.seconds * 1e3);
             }
         }

@@ -254,68 +254,22 @@ pub struct SuiteCell {
 pub const SUITE_VARIANTS: [&str; 4] = ["cpu-mkl", "extensor", "extensor-op", "extensor-op-drt"];
 
 /// Run the standard four-variant suite ([`SUITE_VARIANTS`], resolved
-/// through the accelerator [`Registry`]) over independent operand pairs
-/// (`(label, A, B)`), fanning the (variant × dataset) cells out over
-/// worker threads via [`par::par_map`]. Each cell builds its own
-/// micro-tile grids and runs its own simulation; the §5.2.1 functional
-/// cross-check of every DRT output against its CPU reference also runs in
-/// parallel. Results come back in input order, so table rows and `--json`
-/// output are deterministic regardless of thread scheduling.
+/// through the accelerator registry) over independent operand pairs
+/// (`(label, A, B)`) against a caller-built [`RunCtx`], with per-run
+/// request parameters (`--priority` / `--deadline-ms`). The
+/// (variant × dataset) cells fan out over worker threads via
+/// [`par::par_map`], so `--threads` (sharded engine execution) and
+/// `--trace` compose with the suite's own cell-level fan-out. Each cell
+/// builds its own micro-tile grids and runs its own simulation; the
+/// §5.2.1 functional cross-check of every DRT output against its CPU
+/// reference also runs in parallel. Results come back in input order, so
+/// table rows and `--json` output are deterministic regardless of thread
+/// scheduling.
 ///
 /// # Panics
 ///
 /// Panics when an engine run fails or a DRT output diverges from its CPU
 /// reference — a bench run with a broken engine must not report numbers.
-pub fn run_suite_cells(
-    pairs: &[(String, drt_tensor::CsMatrix, drt_tensor::CsMatrix)],
-    hier: &HierarchySpec,
-    cpu: &CpuSpec,
-) -> Vec<SuiteCell> {
-    run_suite_cells_probed(pairs, hier, cpu, &Probe::disabled())
-}
-
-/// [`run_suite_cells`] with an instrumentation probe shared by every cell
-/// (sinks are thread-safe, so parallel cells interleave their events).
-///
-/// # Panics
-///
-/// Same conditions as [`run_suite_cells`].
-pub fn run_suite_cells_probed(
-    pairs: &[(String, drt_tensor::CsMatrix, drt_tensor::CsMatrix)],
-    hier: &HierarchySpec,
-    cpu: &CpuSpec,
-    probe: &Probe,
-) -> Vec<SuiteCell> {
-    let ctx = RunCtx {
-        hier: *hier,
-        cpu: *cpu,
-        probe: probe.clone(),
-        exec: ExecPolicy::serial(),
-        ..RunCtx::default()
-    };
-    run_suite_cells_in(pairs, &ctx)
-}
-
-/// [`run_suite_cells`] against a fully caller-built [`RunCtx`] — the entry
-/// the fig binaries use so `--threads` (sharded engine execution) and
-/// `--trace` compose with the suite's own cell-level fan-out.
-///
-/// # Panics
-///
-/// Same conditions as [`run_suite_cells`].
-pub fn run_suite_cells_in(
-    pairs: &[(String, drt_tensor::CsMatrix, drt_tensor::CsMatrix)],
-    ctx: &RunCtx,
-) -> Vec<SuiteCell> {
-    run_suite_cells_req(pairs, ctx, &RequestOpts::default())
-}
-
-/// [`run_suite_cells_in`] with explicit per-run request parameters
-/// (`--priority` / `--deadline-ms`).
-///
-/// # Panics
-///
-/// Same conditions as [`run_suite_cells`].
 pub fn run_suite_cells_req(
     pairs: &[(String, drt_tensor::CsMatrix, drt_tensor::CsMatrix)],
     ctx: &RunCtx,
@@ -325,25 +279,6 @@ pub fn run_suite_cells_req(
         .into_iter()
         .map(|row| row.unwrap_or_else(|err| panic!("{err}")))
         .collect()
-}
-
-/// Run one registered variant through the fault-tolerant entry point,
-/// mapping degraded outcomes and typed errors to a printable message
-/// instead of panicking — the `--keep-going` building block. The
-/// operands are wrapped in a default-parameter [`Request`] (normal
-/// priority, no deadline); use [`try_run_request`] to carry
-/// `--priority` / `--deadline-ms`.
-///
-/// # Errors
-///
-/// Any run failure or degradation, as one message naming the variant.
-pub fn try_run_variant(
-    name: &str,
-    a: &drt_tensor::CsMatrix,
-    b: &drt_tensor::CsMatrix,
-    ctx: &RunCtx,
-) -> Result<drt_accel::report::RunReport, String> {
-    try_run_request(name, &Request::new(Workload::spmspm(a.clone(), b.clone())), ctx)
 }
 
 /// Run one typed [`Request`] against a registered variant — the exact
@@ -374,18 +309,10 @@ pub fn try_run_request(
     }
 }
 
-/// Fallible, per-row variant of [`run_suite_cells_in`] — the
+/// Fallible, per-row variant of [`run_suite_cells_req`] — the
 /// `--keep-going` path. A row is `Err` when any of its four variant runs
 /// fails (or degrades), or when the DRT output diverges from the CPU
 /// reference; the remaining rows still compute and come back in order.
-pub fn try_run_suite_cells_in(
-    pairs: &[(String, drt_tensor::CsMatrix, drt_tensor::CsMatrix)],
-    ctx: &RunCtx,
-) -> Vec<Result<SuiteCell, String>> {
-    try_run_suite_cells_req(pairs, ctx, &RequestOpts::default())
-}
-
-/// [`try_run_suite_cells_in`] with explicit per-run request parameters.
 /// Every cell goes through [`try_run_request`] — the serving layer's
 /// execution path — on a per-pair `Arc`-shared workload (the four
 /// variant cells of a pair clone the operands once, not per cell).

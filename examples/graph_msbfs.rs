@@ -7,6 +7,7 @@
 //! ```
 
 use drt_accel::cpu::CpuSpec;
+use drt_accel::session::Session;
 use drt_sim::memory::HierarchySpec;
 use drt_workloads::{msbfs, patterns};
 use std::error::Error;
@@ -27,8 +28,9 @@ fn main() -> Result<(), Box<dyn Error>> {
         workload.frontiers.len()
     );
 
-    let hier = HierarchySpec::default().scaled_down(256);
-    let cpu = CpuSpec::default().scaled_down(256);
+    let cpu = Session::from_registry("cpu-mkl")?.cpu(CpuSpec::default().scaled_down(256));
+    let drt = Session::from_registry("extensor-op-drt")?
+        .hierarchy(&HierarchySpec::default().scaled_down(256));
 
     println!(
         "\n{:<7} {:>10} {:>12} {:>12} {:>10}",
@@ -39,8 +41,8 @@ fn main() -> Result<(), Box<dyn Error>> {
         if f.nnz() == 0 {
             continue;
         }
-        let c = drt_accel::cpu::run_mkl_like(f, &workload.adjacency, &cpu);
-        let d = drt_accel::extensor::run_tactile(f, &workload.adjacency, &hier)?;
+        let c = cpu.run_spmspm(f, &workload.adjacency)?;
+        let d = drt.run_spmspm(f, &workload.adjacency)?;
         // Validate: the accelerator's product has the same sparsity as the
         // reference expansion.
         let reference = drt_kernels::bfs::frontier_step(f, &workload.adjacency);
