@@ -1,28 +1,35 @@
-//! The Gram kernel on ExTensor-OP and ExTensor-OP-DRT (paper §6.1.3,
-//! Figure 9).
+//! The Gram kernel `G_il = χ_ijk · χ_ljk` (paper §6.1.3, Figure 9), run
+//! through [`crate::pipeline::PipelineSpec::gram`].
 //!
-//! `G_il = χ_ijk · χ_ljk` binds the same 3-tensor twice (the second
-//! operand with `i` renamed `l`) and contracts over *two* ranks, so DRT
-//! must grow tiles across three dimensions per operand — two of them
-//! contracted. The dataflow keeps the first operand's `i` slab stationary
-//! while `l` sweeps, with the contracted `(j, k)` ranges co-tiled between
-//! the operands.
+//! The kernel binds the same 3-tensor twice (the second operand with `i`
+//! renamed `l`) and contracts over *two* ranks, so DRT must grow tiles
+//! across three dimensions per operand — two of them contracted. The
+//! dataflow keeps the first operand's `i` slab stationary while `l`
+//! sweeps, with the contracted `(j, k)` ranges co-tiled between the
+//! operands. The session spec picks the model:
+//!
+//! * `cpu-mkl` runs the TACO-like CPU baseline ([`crate::taco`]);
+//! * DRT engine specs (ExTensor-OP-DRT) run the Gram task stream on the
+//!   shared tensor-stage runner;
+//! * statically tiled engine specs (ExTensor-OP) run the best of four
+//!   uniform S-U-C shapes under a closed-form traffic model.
 
-use crate::report::{PhaseBreakdown, RunReport};
-use crate::spec::PartitionPreset;
-use crate::zcache::OutputCache;
-use drt_core::config::{DrtConfig, Partitions};
+use crate::error::DrtError;
+use crate::pipeline::{
+    bad, engine_parts, expired_entry, run_tensor_stage, PipelineSpec, StageLedger, StageRun,
+    TensorStage,
+};
+use crate::report::RunReport;
+use crate::spec::{AccelSpec, PartitionPreset, RunCtx, SpecKind, TilingSpec};
+use drt_core::config::DrtConfig;
+use drt_core::drt::RankRanges;
 use drt_core::kernel::Kernel;
-use drt_core::probe::{Event, Probe};
-use drt_core::taskgen::{TaskGenOptions, TaskStream};
-use drt_core::{CoreError, RankId};
-use drt_sim::energy::ActionCounts;
+use drt_core::micro::{MicroFormat, MicroGrid};
 use drt_sim::memory::HierarchySpec;
-use drt_sim::traffic::TrafficCounter;
+use drt_tensor::format::SizeModel;
 use drt_tensor::CsfTensor;
 use std::collections::BTreeMap;
-
-const LOOP_ORDER: [RankId; 4] = ['i', 'l', 'j', 'k'];
+use std::ops::Range;
 
 /// Pre-grouped non-zeros for fast per-task MACC counting:
 /// `j → k → sorted list of i coordinates`.
@@ -46,52 +53,83 @@ impl GramCounter {
     }
 
     /// `(maccs, output-pair upper bound)` for one task box.
-    fn count(
-        &self,
-        ir: &std::ops::Range<u32>,
-        lr: &std::ops::Range<u32>,
-        jr: &std::ops::Range<u32>,
-        kr: &std::ops::Range<u32>,
-    ) -> (u64, u64) {
+    fn count(&self, r: &RankRanges) -> (u64, u64) {
+        let (ir, lr) = (&r[&'i'], &r[&'l']);
+        let in_range = |is: &[u32], rr: &Range<u32>| {
+            is.partition_point(|&v| v < rr.end) - is.partition_point(|&v| v < rr.start)
+        };
         let mut maccs = 0u64;
-        let mut out_pairs = 0u64;
-        for (_, ks) in self.jk.range(jr.start..jr.end) {
-            for (_, is) in ks.range(kr.start..kr.end) {
-                let ci =
-                    is.partition_point(|&v| v < ir.end) - is.partition_point(|&v| v < ir.start);
-                let cl =
-                    is.partition_point(|&v| v < lr.end) - is.partition_point(|&v| v < lr.start);
-                maccs += (ci * cl) as u64;
-                out_pairs += (ci * cl) as u64;
+        for (_, ks) in self.jk.range(r[&'j'].clone()) {
+            for (_, is) in ks.range(r[&'k'].clone()) {
+                maccs += (in_range(is, ir) * in_range(is, lr)) as u64;
             }
         }
         let cells = ir.len() as u64 * lr.len() as u64;
-        (maccs, out_pairs.min(cells))
+        (maccs, maccs.min(cells))
     }
 }
 
-fn partitions(hier: &HierarchySpec) -> Partitions {
-    PartitionPreset::Gram3.partitions(hier.llb.capacity_bytes)
-}
-
-/// Run the Gram kernel with DRT tiling (ExTensor-OP-DRT).
-///
-/// # Errors
-///
-/// Propagates tiling configuration errors.
-pub fn run_gram_drt(
+/// Run the Gram kernel on `x` under the model `spec` selects (see the
+/// module docs).
+pub(crate) fn run(
     x: &CsfTensor,
-    hier: &HierarchySpec,
-    micro: [u32; 3],
-) -> Result<RunReport, CoreError> {
-    let kernel = Kernel::gram(x, &micro)?;
-    let cfg = DrtConfig::new(partitions(hier));
-    let stream = TaskStream::build(&kernel, TaskGenOptions::drt(&LOOP_ORDER, cfg.clone()))?;
-    run_stream(x, hier, &cfg, stream, "ExTensor-OP-DRT")
+    pipe: &PipelineSpec,
+    spec: &AccelSpec,
+    ctx: &RunCtx,
+) -> Result<RunReport, DrtError> {
+    if x.ndim() != 3 {
+        return Err(bad(format!("gram expects a 3-tensor, got {} modes", x.ndim())));
+    }
+    match &spec.kind {
+        SpecKind::CpuRoofline => {
+            let name = format!("TACO+{}", pipe.name);
+            Ok(expired_entry(&name, ctx)
+                .unwrap_or_else(|| crate::taco::run_gram(x, &ctx.cpu, &spec.size_model, name)))
+        }
+        SpecKind::Engine(es) if es.tiling == TilingSpec::Drt => {
+            run_tensor_stage(x, pipe, spec, ctx, drt_stage(x))
+        }
+        _ => {
+            let (_, hier, name) = engine_parts(spec, ctx, pipe)?;
+            match expired_entry(&name, ctx) {
+                Some(report) => Ok(report),
+                None => best_suc(x, &hier, pipe.micro3, name),
+            }
+        }
+    }
 }
 
-/// Run the Gram kernel with S-U-C tiling (ExTensor-OP); `tile_sizes` are
-/// per-rank coordinate sizes.
+/// The Gram task stream: loop order `i → l → (j, k)`, the Gram3
+/// partitions and the default DRT configuration. Each task's `(i, l)`
+/// output tile merges through the output cache.
+fn drt_stage(x: &CsfTensor) -> TensorStage<'_> {
+    let counter = GramCounter::new(x);
+    let sm = SizeModel::default();
+    TensorStage {
+        output: "G",
+        order: &['i', 'l', 'j', 'k'],
+        kernel: Kernel::gram,
+        config: Box::new(|_, llb| DrtConfig::new(PartitionPreset::Gram3.partitions(llb))),
+        dense: Vec::new(),
+        task: Box::new(move |r| {
+            let (maccs, out_pairs) = counter.count(r);
+            let (ir, lr) = (&r[&'i'], &r[&'l']);
+            (
+                maccs,
+                [ir.start, ir.end, lr.start, lr.end],
+                sm.coo_bytes(out_pairs as usize, 2) as u64,
+            )
+        }),
+        reference: Box::new(|| {
+            let g = drt_kernels::gram::gram(x);
+            (g.g, g.maccs)
+        }),
+    }
+}
+
+/// The best of four uniform S-U-C shapes (`micro × {1, 2, 4, 8}`) —
+/// Figure 9's S-U-C points (the paper sweeps static shapes per
+/// workload).
 ///
 /// Uniform tiles under the `i → l → (j, k)` dataflow admit a closed-form
 /// traffic model (used here instead of enumerating the task grid, which is
@@ -104,165 +142,54 @@ pub fn run_gram_drt(
 /// * each `(i, l)` output tile is stationary for its whole `(j, k)` sweep,
 ///   so `G` is written once.
 ///
-/// # Errors
-///
-/// Propagates tiling configuration errors (including the worst-case-dense
-/// capacity rule).
-pub fn run_gram_suc(
+/// A shape that overflows `u32` or breaks the worst-case-dense capacity
+/// rule is infeasible; `BadConfig` when no shape is feasible.
+fn best_suc(
     x: &CsfTensor,
     hier: &HierarchySpec,
     micro: [u32; 3],
-    tile_sizes: &BTreeMap<RankId, u32>,
-) -> Result<RunReport, CoreError> {
+    name: String,
+) -> Result<RunReport, DrtError> {
     let kernel = Kernel::gram(x, &micro)?;
-    let cfg = DrtConfig::new(partitions(hier));
-    drt_core::suc::validate_shape(&kernel, tile_sizes, &cfg.partitions, &cfg.size_model)?;
-    let sm = cfg.size_model;
-    let (si, sl, sj, sk) = (tile_sizes[&'i'], tile_sizes[&'l'], tile_sizes[&'j'], tile_sizes[&'k']);
-    // Tiled footprints from S-U-C grids at the tile shapes themselves
-    // (plain T-UC tiles, as the static scheme stores them).
-    let gx = drt_core::micro::MicroGrid::from_csf_fmt(
-        x,
-        &[si, sj, sk],
-        drt_core::micro::MicroFormat::Uc,
-    )?;
-    let gy = drt_core::micro::MicroGrid::from_csf_fmt(
-        x,
-        &[sl, sj, sk],
-        drt_core::micro::MicroFormat::Uc,
-    )?;
-    let shape = x.shape();
-    let n_i = shape[0].div_ceil(si) as u64;
-    let n_l = shape[0].div_ceil(sl) as u64;
-    let mut traffic = TrafficCounter::new();
-    let mut phases = PhaseBreakdown::default();
-    traffic.read("X", gx.total_data_bytes() * n_l);
-    traffic.read("Y", gy.total_data_bytes() * n_i);
-    phases.load.bytes += gx.total_data_bytes() * n_l + gy.total_data_bytes() * n_i;
-    let result = drt_kernels::gram::gram(x);
-    let g_bytes = sm.cs_matrix_bytes(&result.g) as u64;
-    traffic.write("G", g_bytes);
-    phases.writeback.bytes += g_bytes;
-    let maccs = result.maccs;
-    let seconds = hier.dram.seconds_for(traffic.total());
-    let actions = ActionCounts { dram_bytes: traffic.total(), maccs, ..Default::default() };
-    Ok(RunReport {
-        name: "ExTensor-OP".into(),
-        traffic,
-        maccs,
-        compute_cycles: 0,
-        exposed_extract_cycles: 0,
-        seconds,
-        output: Some(result.g),
-        tasks: n_i * n_l,
-        skipped_tasks: 0,
-        actions,
-        phases,
-        stages: Vec::new(),
-        degradation: None,
-    })
-}
-
-/// Best swept S-U-C configuration over a small shape menu — Figure 9's
-/// S-U-C points (the paper sweeps static shapes per workload).
-///
-/// # Errors
-///
-/// Returns `BadConfig` when no swept shape satisfies the capacity rule.
-pub fn run_gram_best_suc(
-    x: &CsfTensor,
-    hier: &HierarchySpec,
-    micro: [u32; 3],
-) -> Result<RunReport, CoreError> {
-    let mut best: Option<RunReport> = None;
-    for mult in [1u32, 2, 4, 8] {
-        let sizes = BTreeMap::from([
-            ('i', micro[0] * mult),
-            ('l', micro[0] * mult),
-            ('j', micro[1] * mult),
-            ('k', micro[2] * mult),
-        ]);
-        if let Ok(r) = run_gram_suc(x, hier, micro, &sizes) {
-            if best.as_ref().is_none_or(|b| r.traffic.total() < b.traffic.total()) {
-                best = Some(r);
-            }
-        }
-    }
-    best.ok_or(CoreError::BadConfig { detail: "no feasible S-U-C Gram shape".into() })
-}
-
-fn run_stream(
-    x: &CsfTensor,
-    hier: &HierarchySpec,
-    cfg: &DrtConfig,
-    mut stream: TaskStream<'_>,
-    name: &str,
-) -> Result<RunReport, CoreError> {
-    let sm = cfg.size_model;
-    let probe = Probe::disabled();
-    let counter = GramCounter::new(x);
-    let mut traffic = TrafficCounter::new();
-    let mut phases = PhaseBreakdown::default();
-    let mut zcache = OutputCache::new(cfg.partitions.get("G"));
-    let mut maccs = 0u64;
-    let mut last_ranges: BTreeMap<String, Vec<u32>> = BTreeMap::new();
-
-    for task in &mut stream {
-        let ir = task.plan.coord_ranges[&'i'].clone();
-        let lr = task.plan.coord_ranges[&'l'].clone();
-        let jr = task.plan.coord_ranges[&'j'].clone();
-        let kr = task.plan.coord_ranges[&'k'].clone();
-        for tile in &task.plan.tiles {
-            let ranges: Vec<u32> = match tile.name.as_str() {
-                "X" => vec![ir.start, ir.end, jr.start, jr.end, kr.start, kr.end],
-                _ => vec![lr.start, lr.end, jr.start, jr.end, kr.start, kr.end],
-            };
-            if last_ranges.get(&tile.name) != Some(&ranges) {
-                traffic.read(&tile.name, tile.footprint());
-                phases.load.bytes += tile.footprint();
-                last_ranges.insert(tile.name.clone(), ranges);
-            }
-        }
-        let (task_maccs, out_pairs) = counter.count(&ir, &lr, &jr, &kr);
-        maccs += task_maccs;
-        let key = [ir.start, ir.end, lr.start, lr.end];
-        let charge = zcache.access(&key, sm.coo_bytes(out_pairs as usize, 2) as u64);
-        traffic.write("G", charge.spill_writes);
-        traffic.read("G", charge.refill_reads);
-        phases.merge.bytes += charge.spill_writes + charge.refill_reads;
-    }
-    let fin = zcache.finish();
-    traffic.read("G", fin.merge_reads);
-    traffic.write("G", fin.final_writes);
-    phases.writeback.bytes += fin.merge_reads + fin.final_writes;
-    for (phase, stats) in phases.named() {
-        probe.emit(|| Event::Phase { phase, cycles: stats.cycles, bytes: stats.bytes });
-    }
-    let g = drt_kernels::gram::gram(x).g;
-
-    let seconds = hier.dram.seconds_for(traffic.total());
-    let actions = ActionCounts { dram_bytes: traffic.total(), maccs, ..Default::default() };
-    Ok(RunReport {
-        name: name.into(),
-        traffic,
-        maccs,
-        compute_cycles: 0,
-        exposed_extract_cycles: 0,
-        seconds,
-        output: Some(g),
-        tasks: stream.emitted(),
-        skipped_tasks: stream.skipped_empty(),
-        actions,
-        phases,
-        stages: Vec::new(),
-        degradation: None,
-    })
+    let cfg = DrtConfig::new(PartitionPreset::Gram3.partitions(hier.llb.capacity_bytes));
+    // Per shape: (bytes each operand streams, (i, l) tile pairs). `i` and
+    // `l` tile alike, so both operands share one tiled footprint — from an
+    // S-U-C grid at the tile shape itself (plain T-UC tiles, as the static
+    // scheme stores them).
+    let shape_cost = |mult: u32| -> Option<(u64, u64)> {
+        let [si, sj, sk] =
+            [micro[0].checked_mul(mult)?, micro[1].checked_mul(mult)?, micro[2].checked_mul(mult)?];
+        let sizes = BTreeMap::from([('i', si), ('l', si), ('j', sj), ('k', sk)]);
+        drt_core::suc::validate_shape(&kernel, &sizes, &cfg.partitions, &cfg.size_model).ok()?;
+        let grid = MicroGrid::from_csf_fmt(x, &[si, sj, sk], MicroFormat::Uc).ok()?;
+        let chunks = x.shape()[0].div_ceil(si) as u64;
+        Some((grid.total_data_bytes() * chunks, chunks * chunks))
+    };
+    let (operand_bytes, tasks) = [1, 2, 4, 8]
+        .into_iter()
+        .filter_map(shape_cost)
+        .min_by_key(|&(bytes, _)| bytes)
+        .ok_or_else(|| bad("no feasible S-U-C Gram shape".into()))?;
+    let reference = drt_kernels::gram::gram(x);
+    let mut ledger = StageLedger::default();
+    ledger.read("X", operand_bytes);
+    ledger.read("Y", operand_bytes);
+    ledger.write_back("G", cfg.size_model.cs_matrix_bytes(&reference.g) as u64);
+    let mut run = StageRun { maccs: reference.maccs, tasks, ..StageRun::default() };
+    run.push("gram", ledger);
+    Ok(run.finish(name, hier, reference.g))
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use drt_sim::memory::BufferSpec;
+    use crate::error::DrtError;
+    use crate::pipeline::{PipelineInput, PipelineSpec};
+    use crate::report::RunReport;
+    use crate::session::Session;
+    use crate::spec::AccelSpec;
+    use drt_core::CoreError;
+    use drt_sim::memory::{BufferSpec, HierarchySpec};
+    use drt_tensor::CsfTensor;
     use drt_workloads::tensor3::skewed_tensor;
 
     fn hier() -> HierarchySpec {
@@ -272,31 +199,38 @@ mod tests {
         }
     }
 
+    fn gram(spec: AccelSpec, x: &CsfTensor, micro3: [u32; 3]) -> Result<RunReport, DrtError> {
+        Session::new(spec)
+            .hierarchy(&hier())
+            .run_pipeline(PipelineInput::Tensor(x), &PipelineSpec::gram().with_micro3(micro3))
+    }
+
     #[test]
     fn drt_maccs_match_reference() {
         let x = skewed_tensor(24, 24, 24, 800, 1);
-        let r = run_gram_drt(&x, &hier(), [4, 4, 4]).expect("run");
+        let r = gram(AccelSpec::extensor_op_drt(), &x, [4, 4, 4]).expect("run");
         assert_eq!(
             r.maccs,
             drt_kernels::gram::gram_maccs(&x),
             "task MACCs must sum to the kernel total"
         );
+        assert!(r.stage_partition_violation().is_none());
+        assert!(r.phase_partition_violation().is_none());
     }
 
     #[test]
     fn suc_maccs_match_reference() {
         let x = skewed_tensor(16, 16, 16, 400, 2);
-        let sizes = BTreeMap::from([('i', 8u32), ('l', 8), ('j', 8), ('k', 8)]);
-        let r = run_gram_suc(&x, &hier(), [4, 4, 4], &sizes).expect("run");
+        let r = gram(AccelSpec::extensor_op(), &x, [4, 4, 4]).expect("run");
         assert_eq!(r.maccs, drt_kernels::gram::gram_maccs(&x));
+        assert!(r.phase_partition_violation().is_none());
     }
 
     #[test]
     fn drt_ai_at_least_suc_ai() {
         let x = skewed_tensor(32, 32, 32, 1500, 3);
-        let h = hier();
-        let drt = run_gram_drt(&x, &h, [4, 4, 4]).expect("drt");
-        let suc = run_gram_best_suc(&x, &h, [4, 4, 4]).expect("suc");
+        let drt = gram(AccelSpec::extensor_op_drt(), &x, [4, 4, 4]).expect("drt");
+        let suc = gram(AccelSpec::extensor_op(), &x, [4, 4, 4]).expect("suc");
         assert!(
             drt.arithmetic_intensity() >= suc.arithmetic_intensity() * 0.9,
             "DRT AI {:.4} vs S-U-C AI {:.4}",
@@ -308,8 +242,33 @@ mod tests {
     #[test]
     fn gram_output_attached_for_validation() {
         let x = skewed_tensor(12, 12, 12, 200, 4);
-        let r = run_gram_drt(&x, &hier(), [4, 4, 4]).expect("run");
         let reference = drt_kernels::gram::gram(&x).g;
-        assert!(r.output.as_ref().expect("out").approx_eq(&reference, 1e-9));
+        for spec in [AccelSpec::extensor_op_drt(), AccelSpec::extensor_op(), AccelSpec::cpu_mkl()] {
+            let r = gram(spec, &x, [4, 4, 4]).expect("run");
+            assert!(r.output.as_ref().expect("out").approx_eq(&reference, 1e-9), "{}", r.name);
+        }
+    }
+
+    /// Hostile Gram inputs return `BadConfig` on every model instead of
+    /// panicking: a non-3-D tensor everywhere, and a micro shape whose
+    /// S-U-C multiples overflow `u32` on the static model.
+    #[test]
+    fn hostile_inputs_are_typed_errors() {
+        let x = skewed_tensor(12, 12, 12, 200, 5);
+        let flat = CsfTensor::from_points(vec![4, 4], &[(&[1, 2][..], 1.0), (&[3, 0][..], 2.0)])
+            .expect("2-D tensor");
+        let huge = [1 << 30; 3];
+        for spec in [AccelSpec::cpu_mkl(), AccelSpec::extensor_op(), AccelSpec::extensor_op_drt()] {
+            let name = spec.name.clone();
+            let err = gram(spec.clone(), &flat, [4, 4, 4]).expect_err("2-D input");
+            assert!(matches!(err, DrtError::Core(CoreError::BadConfig { .. })), "{name}: {err}");
+            match gram(spec, &x, huge) {
+                Ok(r) => assert_ne!(name, "extensor-op", "{}", r.name),
+                Err(err) => assert!(
+                    matches!(err, DrtError::Core(CoreError::BadConfig { .. })),
+                    "{name}: {err}"
+                ),
+            }
+        }
     }
 }

@@ -31,16 +31,16 @@
 //!   68.25 GB/s) of the MKL-like baseline every speedup figure
 //!   normalizes to.
 //! * [`pipeline`] — multi-stage fused pipelines over one co-tiling
-//!   ([`pipeline::PipelineSpec`]): MTTKRP over CSF, fused SDDMM→SpMM,
-//!   and A·B·C chains, with tile-resident inter-stage intermediates and
-//!   per-stage phase breakdowns.
+//!   ([`pipeline::PipelineSpec`]): MTTKRP, TTV and Gram over CSF, fused
+//!   SDDMM→SpMM, and A·B·C chains, with tile-resident inter-stage
+//!   intermediates and per-stage phase breakdowns. Gram also runs on
+//!   `cpu-mkl` as the TACO-like Figure 9 baseline; its models are
+//!   crate-private.
 //! * [`incremental`] — incremental re-execution across operand deltas:
 //!   a cross-run plan cache plus content-addressed per-task result
 //!   splicing, bit-identical to from-scratch runs.
 //! * [`hier2`] — two-level (DRAM → LLB → PE) traffic analysis composing
 //!   hierarchical DRT streams with the NoC model (§4.3).
-//! * [`taco`] — the TACO-like CPU baseline for the Gram kernel (Figure 9).
-//! * [`gram`] — ExTensor-OP(-DRT) running the 3-D Gram contraction.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
@@ -49,7 +49,7 @@ pub mod cpu;
 pub mod engine;
 pub mod error;
 pub(crate) mod gamma;
-pub mod gram;
+pub(crate) mod gram;
 pub mod hier2;
 pub mod incremental;
 pub(crate) mod matraptor;
@@ -59,6 +59,6 @@ pub mod report;
 pub mod session;
 pub(crate) mod sparch;
 pub mod spec;
-pub mod taco;
+pub(crate) mod taco;
 pub mod workload;
 pub mod zcache;

@@ -1,6 +1,6 @@
 //! Multi-stage fused pipelines over one DRT co-tiling (the §7 outlook:
-//! "DRT is not specific to SpMSpM"): MTTKRP over CSF, the fused
-//! SDDMM→SpMM "GNN attention layer", and A·B·C chains, all runnable
+//! "DRT is not specific to SpMSpM"): MTTKRP, TTV and Gram over CSF, the
+//! fused SDDMM→SpMM "GNN attention layer", and A·B·C chains, all runnable
 //! through [`crate::session::Session::run_pipeline`].
 //!
 //! A [`PipelineSpec`] is a list of 1..N [`Stage`]s applied to one sparse
@@ -8,11 +8,18 @@
 //! verbatim to the engine ([`crate::spec::AccelSpec::run_ft`]), so its
 //! reports and traces stay bit-identical to `Session::run_spmspm` for
 //! every registered variant. Multi-stage and tensor pipelines run through
-//! gram-style modeled streams (one task stream per stage, sharing the
-//! spec's tiling discipline) and additionally fill
-//! [`crate::report::RunReport::stages`] with one [`StagePhases`] entry
-//! per stage; the per-stage breakdowns partition the report's phase totals
-//! ([`crate::report::RunReport::stage_partition_violation`]).
+//! modeled task streams (one per stage, sharing the spec's tiling
+//! discipline) and additionally fill [`crate::report::RunReport::stages`]
+//! with one [`StagePhases`] entry per stage; the per-stage breakdowns
+//! partition the report's phase totals
+//! ([`crate::report::RunReport::stage_partition_violation`]). The three
+//! CSF kernels share one tensor-stage runner; they differ only in their
+//! output, dense operand windows, per-task MACC count, merge key and
+//! reference kernel.
+//!
+//! **Gram** (§6.1.3, Figure 9) picks its model from the spec: `cpu-mkl`
+//! runs the TACO-like CPU baseline, DRT engine specs the Gram task stream,
+//! and statically tiled engine specs a closed-form S-U-C model.
 //!
 //! **Fusion.** When `fused` is set (the default), inter-stage
 //! intermediates stay tile-resident: the producing stage charges no
@@ -35,9 +42,11 @@
 use crate::error::DrtError;
 use crate::report::{Degradation, PhaseBreakdown, RunOutcome, RunReport, StagePhases};
 use crate::spec::{llc_hierarchy, AccelSpec, EngineSpec, RunCtx, SpecKind, TilingSpec};
+use crate::zcache::{OutputCache, TileKey};
 use drt_core::budget::ExecBudget;
 use drt_core::cancel::ExpiryKind;
 use drt_core::config::{DrtConfig, Partitions};
+use drt_core::drt::{RankRanges, TilePlan};
 use drt_core::kernel::{Kernel, TensorBinding};
 use drt_core::micro::MicroGrid;
 use drt_core::taskgen::{fallback_suc_coord_sizes, TaskGenOptions, TaskStream};
@@ -45,15 +54,17 @@ use drt_core::{CoreError, RankId};
 use drt_sim::energy::ActionCounts;
 use drt_sim::memory::HierarchySpec;
 use drt_sim::traffic::TrafficCounter;
+use drt_tensor::format::SizeModel;
 use drt_tensor::{CsMatrix, CsfTensor, DenseMatrix, MajorAxis};
 use std::collections::BTreeMap;
+use std::ops::Range;
 
 /// The sparse input a pipeline starts from.
 #[derive(Debug, Clone, Copy)]
 pub enum PipelineInput<'a> {
     /// A 2-D compressed matrix (SpMSpM chains, SDDMM→SpMM).
     Matrix(&'a CsMatrix),
-    /// A 3-D CSF tensor (MTTKRP, TTV).
+    /// A 3-D CSF tensor (MTTKRP, TTV, Gram).
     Tensor(&'a CsfTensor),
 }
 
@@ -92,6 +103,9 @@ pub enum Stage {
         /// Dense vector over mode 2.
         v: Vec<f64>,
     },
+    /// `G_il = Σ_jk χ_ijk · χ_ljk`: a CSF 3-tensor contracted with itself
+    /// over its last two modes (the paper's Gram kernel, §6.1.3).
+    Gram,
 }
 
 impl Stage {
@@ -103,6 +117,7 @@ impl Stage {
             Stage::Spmm { .. } => "spmm",
             Stage::Mttkrp { .. } => "mttkrp",
             Stage::Ttv { .. } => "ttv",
+            Stage::Gram => "gram",
         }
     }
 }
@@ -158,6 +173,12 @@ impl PipelineSpec {
         PipelineSpec::new("ttv", vec![Stage::Ttv { v }])
     }
 
+    /// The Gram kernel `G_il = χ_ijk · χ_ljk` over a CSF 3-tensor
+    /// (Figure 9), on `cpu-mkl` (TACO-like) or any engine spec.
+    pub fn gram() -> PipelineSpec {
+        PipelineSpec::new("gram", vec![Stage::Gram])
+    }
+
     /// The unfused baseline of this pipeline: identical stages, but every
     /// inter-stage intermediate rounds through DRAM (written back by its
     /// producer, re-loaded tile-by-tile by its consumer).
@@ -176,16 +197,17 @@ impl PipelineSpec {
     }
 }
 
-fn bad(detail: String) -> DrtError {
+pub(crate) fn bad(detail: String) -> DrtError {
     DrtError::Core(CoreError::BadConfig { detail })
 }
 
 /// Run a pipeline on `input` under `spec`'s tiling discipline.
 ///
 /// Single-stage SpMSpM delegates to [`AccelSpec::run_ft`] (all registered
-/// variants, reports bit-identical to `Session::run_spmspm`). Every other
-/// pipeline shape requires an engine-backed spec and runs through the
-/// modeled stage streams described in the module docs.
+/// variants, reports bit-identical to `Session::run_spmspm`). Gram also
+/// runs on `cpu-mkl`. Every other pipeline shape requires an
+/// engine-backed spec and runs through the modeled stage streams
+/// described in the module docs.
 ///
 /// # Errors
 ///
@@ -224,9 +246,12 @@ pub fn run_pipeline(
             run_sddmm_spmm(a, u, v, h, pipe, spec, ctx)
         }
         (PipelineInput::Tensor(x), [Stage::Mttkrp { b, c }]) => {
-            run_mttkrp(x, b, c, pipe, spec, ctx)
+            run_tensor_stage(x, pipe, spec, ctx, mttkrp_stage(x, b, c, spec.size_model))
         }
-        (PipelineInput::Tensor(x), [Stage::Ttv { v }]) => run_ttv(x, v, pipe, spec, ctx),
+        (PipelineInput::Tensor(x), [Stage::Ttv { v }]) => {
+            run_tensor_stage(x, pipe, spec, ctx, ttv_stage(x, v, spec.size_model))
+        }
+        (PipelineInput::Tensor(x), [Stage::Gram]) => crate::gram::run(x, pipe, spec, ctx),
         (input, stages) => Err(bad(format!(
             "unsupported pipeline shape: {:?} input through stages [{}]",
             match input {
@@ -238,17 +263,17 @@ pub fn run_pipeline(
     }
 }
 
-/// The engine spec a multi-stage pipeline resolves against, plus the
-/// hierarchy it runs on.
-fn engine_parts<'s>(
+/// The engine spec a modeled pipeline resolves against, the hierarchy it
+/// runs on, and its report name (`"<machine>+<pipeline>"`).
+pub(crate) fn engine_parts<'s>(
     spec: &'s AccelSpec,
     ctx: &RunCtx,
     pipe: &PipelineSpec,
-) -> Result<(&'s EngineSpec, HierarchySpec), DrtError> {
+) -> Result<(&'s EngineSpec, HierarchySpec, String), DrtError> {
     match &spec.kind {
         SpecKind::Engine(es) => {
             let hier = if es.hier_from_cpu { llc_hierarchy(&ctx.cpu) } else { ctx.hier };
-            Ok((es, hier))
+            Ok((es, hier, format!("{}+{}", es.display, pipe.name)))
         }
         _ => Err(bad(format!(
             "pipeline `{}` needs an engine-backed spec; `{}` is an analytic model",
@@ -312,11 +337,13 @@ fn expiry_degradation(kind: ExpiryKind, completed: u64) -> Degradation {
 }
 
 /// The degraded report for a pipeline whose token was already expired at
-/// entry: an all-zero report, no work.
-fn degraded_pipeline_entry(name: &str, kind: ExpiryKind) -> RunReport {
-    let mut report = RunReport::empty(name);
-    report.degradation = Some(expiry_degradation(kind, 0));
-    report
+/// entry (an all-zero report, no work); `None` while the token is live.
+pub(crate) fn expired_entry(name: &str, ctx: &RunCtx) -> Option<RunReport> {
+    ctx.cancel.expiry_kind().map(|kind| {
+        let mut report = RunReport::empty(name);
+        report.degradation = Some(expiry_degradation(kind, 0));
+        report
+    })
 }
 
 /// Configuration-time micro-shape adjustment for a pipeline stage
@@ -353,59 +380,134 @@ fn feasible_micro(
     }
 }
 
-/// Charge a tile load once per distinct coordinate-range visit (the
-/// stationarity idiom shared with the engine and the Gram runner).
-struct LoadLedger {
+/// The coordinate window of `ranks` in `r`, flattened to
+/// `[start, end, …]` — a load ledger key.
+fn window(r: &RankRanges, ranks: &[RankId]) -> Vec<u32> {
+    ranks.iter().flat_map(|k| [r[k].start, r[k].end]).collect()
+}
+
+/// One stage's traffic and phase breakdown, plus its load ledger: a tile
+/// or dense window is charged once per distinct coordinate-range visit
+/// (the stationarity idiom shared with the engine).
+#[derive(Default)]
+pub(crate) struct StageLedger {
     last: BTreeMap<String, Vec<u32>>,
-}
-
-impl LoadLedger {
-    fn new() -> LoadLedger {
-        LoadLedger { last: BTreeMap::new() }
-    }
-
-    /// `true` when `ranges` differs from the last visit under `key`
-    /// (i.e. the bytes must be charged).
-    fn changed(&mut self, key: &str, ranges: Vec<u32>) -> bool {
-        if self.last.get(key) == Some(&ranges) {
-            return false;
-        }
-        self.last.insert(key.to_string(), ranges);
-        true
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn finish_report(
-    name: String,
     traffic: TrafficCounter,
-    maccs: u64,
-    output: Option<CsMatrix>,
-    tasks: u64,
-    skipped: u64,
-    stages: Vec<StagePhases>,
-    hier: &HierarchySpec,
-) -> RunReport {
-    let mut phases = PhaseBreakdown::default();
-    for s in &stages {
-        phases.add(&s.phases);
+    phases: PhaseBreakdown,
+}
+
+impl StageLedger {
+    /// Charge a load of `bytes` of `tensor` unconditionally.
+    pub(crate) fn read(&mut self, tensor: &str, bytes: u64) {
+        self.traffic.read(tensor, bytes);
+        self.phases.load.bytes += bytes;
     }
-    let seconds = hier.dram.seconds_for(traffic.total());
-    let actions = ActionCounts { dram_bytes: traffic.total(), maccs, ..Default::default() };
-    RunReport {
-        name,
-        traffic,
-        maccs,
-        compute_cycles: 0,
-        exposed_extract_cycles: 0,
-        seconds,
-        output,
-        tasks,
-        skipped_tasks: skipped,
-        actions,
-        phases,
-        stages,
-        degradation: None,
+
+    /// Charge a load of `bytes` of `tensor` unless `ranges` is the window
+    /// its last load covered.
+    fn load(&mut self, tensor: &str, ranges: Vec<u32>, bytes: u64) {
+        match self.last.get_mut(tensor) {
+            Some(last) if *last == ranges => return,
+            Some(last) => *last = ranges,
+            None => {
+                self.last.insert(tensor.to_string(), ranges);
+            }
+        }
+        self.read(tensor, bytes);
+    }
+
+    /// Load every input tile of `plan` under its own name, windowed by
+    /// its binding's ranks.
+    fn load_tiles(&mut self, kernel: &Kernel, plan: &TilePlan) {
+        for (tile, input) in plan.tiles.iter().zip(kernel.inputs()) {
+            self.load(&tile.name, window(&plan.coord_ranges, &input.ranks), tile.footprint());
+        }
+    }
+
+    /// Load the rows of a dense operand that fall in one coordinate range.
+    fn load_window(&mut self, tensor: &str, range: &Range<u32>, bytes_per_coord: u64) {
+        self.load(tensor, vec![range.start, range.end], bytes_per_coord * range.len() as u64);
+    }
+
+    /// Charge a writeback of `bytes` of `tensor`.
+    pub(crate) fn write_back(&mut self, tensor: &str, bytes: u64) {
+        self.traffic.write(tensor, bytes);
+        self.phases.writeback.bytes += bytes;
+    }
+}
+
+/// A pipeline run's totals across its stages.
+#[derive(Default)]
+pub(crate) struct StageRun {
+    pub(crate) traffic: TrafficCounter,
+    pub(crate) stages: Vec<StagePhases>,
+    pub(crate) maccs: u64,
+    pub(crate) tasks: u64,
+    pub(crate) skipped: u64,
+    pub(crate) degradation: Option<Degradation>,
+}
+
+impl StageRun {
+    /// Fold a drained stage stream's task counts and budget degradation
+    /// in. `Some` when the stream stopped at a task boundary on an
+    /// expired token.
+    fn close(&mut self, stream: &TaskStream<'_>) -> Option<ExpiryKind> {
+        self.tasks += stream.emitted();
+        self.skipped += stream.skipped_empty();
+        if let Some(cause) = stream.degraded() {
+            let tasks = self.tasks;
+            self.degradation.get_or_insert_with(|| crate::engine::budget_degradation(cause, tasks));
+        }
+        stream.aborted()
+    }
+
+    /// Append one stage: its traffic and its phase breakdown.
+    pub(crate) fn push(&mut self, stage: &str, ledger: StageLedger) {
+        self.traffic.merge(&ledger.traffic);
+        self.stages.push(StagePhases { stage: stage.into(), phases: ledger.phases });
+    }
+
+    /// The report, with `seconds` as the modeled runtime.
+    pub(crate) fn report(self, name: String, seconds: f64, output: Option<CsMatrix>) -> RunReport {
+        let mut phases = PhaseBreakdown::default();
+        for s in &self.stages {
+            phases.add(&s.phases);
+        }
+        let actions = ActionCounts {
+            dram_bytes: self.traffic.total(),
+            maccs: self.maccs,
+            ..Default::default()
+        };
+        RunReport {
+            name,
+            traffic: self.traffic,
+            maccs: self.maccs,
+            compute_cycles: 0,
+            exposed_extract_cycles: 0,
+            seconds,
+            output,
+            tasks: self.tasks,
+            skipped_tasks: self.skipped,
+            actions,
+            phases,
+            stages: self.stages,
+            degradation: self.degradation,
+        }
+    }
+
+    /// The report of a DRAM-bound run that produced `output`.
+    pub(crate) fn finish(self, name: String, hier: &HierarchySpec, output: CsMatrix) -> RunReport {
+        let seconds = hier.dram.seconds_for(self.traffic.total());
+        self.report(name, seconds, Some(output))
+    }
+
+    /// The report of a run stopped at a task boundary by an expired
+    /// token: its partial traffic stands, later stages never run, and the
+    /// (incomplete) functional output is dropped — engine abort semantics.
+    fn stop(mut self, name: String, hier: &HierarchySpec, kind: ExpiryKind) -> RunReport {
+        self.degradation = Some(expiry_degradation(kind, self.tasks));
+        let seconds = hier.dram.seconds_for(self.traffic.total());
+        self.report(name, seconds, None)
     }
 }
 
@@ -420,22 +522,16 @@ fn run_chain(
     spec: &AccelSpec,
     ctx: &RunCtx,
 ) -> Result<RunReport, DrtError> {
-    let (es, hier) = engine_parts(spec, ctx, pipe)?;
-    let base = spec.engine_config(es, &hier);
-    let name = format!("{}+{}", base.name, pipe.name);
-    if let Some(kind) = ctx.cancel.expiry_kind() {
-        return Ok(degraded_pipeline_entry(&name, kind));
+    let (es, hier, name) = engine_parts(spec, ctx, pipe)?;
+    if let Some(report) = expired_entry(&name, ctx) {
+        return Ok(report);
     }
+    let base = spec.engine_config(es, &hier);
     let sm = base.drt.size_model;
     // Output-row-outer dataflow: the i panel of every stage is live at
     // once, which is what makes the intermediates fusable.
     let order: [RankId; 3] = ['i', 'k', 'j'];
-    let mut traffic = TrafficCounter::new();
-    let mut stages: Vec<StagePhases> = Vec::new();
-    let mut degradation: Option<Degradation> = None;
-    let mut maccs = 0u64;
-    let mut tasks = 0u64;
-    let mut skipped = 0u64;
+    let mut run = StageRun::default();
     let mut cur = a.clone();
     for (si, b) in bs.iter().enumerate() {
         let m = feasible_micro(
@@ -444,71 +540,43 @@ fn run_chain(
             &base.drt,
             &order,
             base.micro.0.max(base.micro.1),
-        )
-        .map_err(DrtError::Core)?;
-        let kernel =
-            Kernel::spmspm_fmt(&cur, b, (m, m), base.micro_format).map_err(DrtError::Core)?;
-        let opts = armed_opts(&kernel, es, &base.drt, &order, ctx);
-        let mut stream = TaskStream::build(&kernel, opts).map_err(DrtError::Core)?;
-        let mut ph = PhaseBreakdown::default();
-        let mut ledger = LoadLedger::new();
+        )?;
+        let kernel = Kernel::spmspm_fmt(&cur, b, (m, m), base.micro_format)?;
+        let mut stream =
+            TaskStream::build(&kernel, armed_opts(&kernel, es, &base.drt, &order, ctx))?;
+        let mut ledger = StageLedger::default();
         let left_name = if si == 0 { "A".to_string() } else { format!("T{si}") };
         let right_name = ((b'B' + si as u8) as char).to_string();
         let left_is_fused_intermediate = pipe.fused && si > 0;
         for task in &mut stream {
-            let ir = &task.plan.coord_ranges[&'i'];
-            let kr = &task.plan.coord_ranges[&'k'];
-            let jr = &task.plan.coord_ranges[&'j'];
-            for tile in &task.plan.tiles {
-                let (display, ranges) = if tile.name == "A" {
-                    (&left_name, vec![ir.start, ir.end, kr.start, kr.end])
-                } else {
-                    (&right_name, vec![kr.start, kr.end, jr.start, jr.end])
-                };
-                if tile.name == "A" && left_is_fused_intermediate {
+            for (tile, input) in task.plan.tiles.iter().zip(kernel.inputs()) {
+                let left = tile.name == "A";
+                if left && left_is_fused_intermediate {
                     continue; // produced on chip by the previous stage
                 }
-                if ledger.changed(&format!("{si}:{display}"), ranges) {
-                    traffic.read(display, tile.footprint());
-                    ph.load.bytes += tile.footprint();
-                }
+                let display = if left { &left_name } else { &right_name };
+                let ranges = window(&task.plan.coord_ranges, &input.ranks);
+                ledger.load(display, ranges, tile.footprint());
             }
         }
-        tasks += stream.emitted();
-        skipped += stream.skipped_empty();
-        if let Some(cause) = stream.degraded() {
-            degradation.get_or_insert_with(|| crate::engine::budget_degradation(cause, tasks));
-        }
-        if let Some(kind) = stream.aborted() {
-            // Clean stop at a task boundary: partial traffic for this
-            // stage stands, later stages never run, the (incomplete)
-            // functional output is dropped — engine abort semantics.
-            stages.push(StagePhases { stage: format!("spmspm#{si}"), phases: ph });
-            let mut report =
-                finish_report(name, traffic, maccs, None, tasks, skipped, stages, &hier);
-            report.degradation = Some(expiry_degradation(kind, tasks));
-            return Ok(report);
+        let label = format!("spmspm#{si}");
+        if let Some(kind) = run.close(&stream) {
+            run.push(&label, ledger);
+            return Ok(run.stop(name, &hier, kind));
         }
         let product = drt_kernels::spmspm::gustavson(&cur, b);
-        maccs += product.maccs;
-        let is_last = si + 1 == bs.len();
-        if is_last {
-            let z_bytes = sm.cs_matrix_bytes(&product.z) as u64;
-            traffic.write("Z", z_bytes);
-            ph.writeback.bytes += z_bytes;
+        run.maccs += product.maccs;
+        if si + 1 == bs.len() {
+            ledger.write_back("Z", sm.cs_matrix_bytes(&product.z) as u64);
         } else if !pipe.fused {
             // Unfused: the intermediate rounds through DRAM — written
             // whole here, re-loaded tile-by-tile by the next stage.
-            let t_bytes = sm.cs_matrix_bytes(&product.z) as u64;
-            traffic.write(&format!("T{}", si + 1), t_bytes);
-            ph.writeback.bytes += t_bytes;
+            ledger.write_back(&format!("T{}", si + 1), sm.cs_matrix_bytes(&product.z) as u64);
         }
-        stages.push(StagePhases { stage: format!("spmspm#{si}"), phases: ph });
+        run.push(&label, ledger);
         cur = product.z;
     }
-    let mut report = finish_report(name, traffic, maccs, Some(cur), tasks, skipped, stages, &hier);
-    report.degradation = degradation;
-    Ok(report)
+    Ok(run.finish(name, &hier, cur))
 }
 
 /// Fused SDDMM→SpMM: stage 0 samples `U · Vᵀ` at the sparse operand's
@@ -523,76 +591,41 @@ fn run_sddmm_spmm(
     spec: &AccelSpec,
     ctx: &RunCtx,
 ) -> Result<RunReport, DrtError> {
-    let (es, hier) = engine_parts(spec, ctx, pipe)?;
-    let base = spec.engine_config(es, &hier);
-    let name = format!("{}+{}", base.name, pipe.name);
-    if let Some(kind) = ctx.cancel.expiry_kind() {
-        return Ok(degraded_pipeline_entry(&name, kind));
+    let (es, hier, name) = engine_parts(spec, ctx, pipe)?;
+    if let Some(report) = expired_entry(&name, ctx) {
+        return Ok(report);
     }
+    let base = spec.engine_config(es, &hier);
     let sm = base.drt.size_model;
     let vb = sm.value_bytes as u64;
     let rank = u.ncols() as u64;
     let feat = h.ncols() as u64;
     let order: [RankId; 2] = ['i', 'j'];
-    let mut traffic = TrafficCounter::new();
-    let mut degradation: Option<Degradation> = None;
-    let mut maccs = 0u64;
-    let mut tasks = 0u64;
-    let mut skipped = 0u64;
+    let start = base.micro.0.max(base.micro.1);
+    let mut run = StageRun::default();
 
     // Stage 0: SDDMM over A's occupancy (nothing contracted).
-    let m0 = feasible_micro(
-        |m| Kernel::sddmm_fmt(a, (m, m), base.micro_format),
-        es,
-        &base.drt,
-        &order,
-        base.micro.0.max(base.micro.1),
-    )
-    .map_err(DrtError::Core)?;
-    let kernel0 = Kernel::sddmm_fmt(a, (m0, m0), base.micro_format).map_err(DrtError::Core)?;
-    let opts0 = armed_opts(&kernel0, es, &base.drt, &order, ctx);
-    let mut stream0 = TaskStream::build(&kernel0, opts0).map_err(DrtError::Core)?;
-    let mut ph0 = PhaseBreakdown::default();
-    let mut ledger = LoadLedger::new();
+    let sddmm_kernel = |m: u32| Kernel::sddmm_fmt(a, (m, m), base.micro_format);
+    let kernel0 = sddmm_kernel(feasible_micro(sddmm_kernel, es, &base.drt, &order, start)?)?;
+    let mut stream0 =
+        TaskStream::build(&kernel0, armed_opts(&kernel0, es, &base.drt, &order, ctx))?;
+    let mut ledger0 = StageLedger::default();
     for task in &mut stream0 {
-        let ir = &task.plan.coord_ranges[&'i'];
-        let jr = &task.plan.coord_ranges[&'j'];
-        for tile in &task.plan.tiles {
-            if ledger.changed("0:A", vec![ir.start, ir.end, jr.start, jr.end]) {
-                traffic.read("A", tile.footprint());
-                ph0.load.bytes += tile.footprint();
-            }
-        }
+        ledger0.load_tiles(&kernel0, &task.plan);
         // Dense factor row windows stream in with their coordinate range.
-        if ledger.changed("0:U", vec![ir.start, ir.end]) {
-            let bytes = vb * rank * ir.len() as u64;
-            traffic.read("U", bytes);
-            ph0.load.bytes += bytes;
-        }
-        if ledger.changed("0:V", vec![jr.start, jr.end]) {
-            let bytes = vb * rank * jr.len() as u64;
-            traffic.read("V", bytes);
-            ph0.load.bytes += bytes;
-        }
+        ledger0.load_window("U", &task.plan.coord_ranges[&'i'], vb * rank);
+        ledger0.load_window("V", &task.plan.coord_ranges[&'j'], vb * rank);
     }
-    tasks += stream0.emitted();
-    skipped += stream0.skipped_empty();
-    if let Some(cause) = stream0.degraded() {
-        degradation.get_or_insert_with(|| crate::engine::budget_degradation(cause, tasks));
-    }
-    if let Some(kind) = stream0.aborted() {
-        let stages = vec![StagePhases { stage: "sddmm".into(), phases: ph0 }];
-        let mut report = finish_report(name, traffic, maccs, None, tasks, skipped, stages, &hier);
-        report.degradation = Some(expiry_degradation(kind, tasks));
-        return Ok(report);
+    if let Some(kind) = run.close(&stream0) {
+        run.push("sddmm", ledger0);
+        return Ok(run.stop(name, &hier, kind));
     }
     let s = drt_kernels::spmm::sddmm(a, u, v);
-    maccs += (rank + 1) * a.nnz() as u64;
+    run.maccs += (rank + 1) * a.nnz() as u64;
     if !pipe.fused {
-        let s_bytes = sm.cs_matrix_bytes(&s) as u64;
-        traffic.write("S", s_bytes);
-        ph0.writeback.bytes += s_bytes;
+        ledger0.write_back("S", sm.cs_matrix_bytes(&s) as u64);
     }
+    run.push("sddmm", ledger0);
 
     // Stage 1: SpMM of the intermediate into dense H (contracts j).
     let spmm_kernel = |m: u32| -> Result<Kernel, CoreError> {
@@ -604,256 +637,171 @@ fn run_sddmm_spmm(
     let cfg1 = DrtConfig::new(Partitions::split(llb, &[("S", 0.5), ("Z", 0.5)]))
         .with_growth(base.drt.growth)
         .with_size_model(sm);
-    let m1 = feasible_micro(spmm_kernel, es, &cfg1, &order, base.micro.0.max(base.micro.1))
-        .map_err(DrtError::Core)?;
-    let kernel1 = spmm_kernel(m1).map_err(DrtError::Core)?;
-    let opts1 = armed_opts(&kernel1, es, &cfg1, &order, ctx);
-    let mut stream1 = TaskStream::build(&kernel1, opts1).map_err(DrtError::Core)?;
-    let mut ph1 = PhaseBreakdown::default();
+    let kernel1 = spmm_kernel(feasible_micro(spmm_kernel, es, &cfg1, &order, start)?)?;
+    let mut stream1 = TaskStream::build(&kernel1, armed_opts(&kernel1, es, &cfg1, &order, ctx))?;
+    let mut ledger1 = StageLedger::default();
     for task in &mut stream1 {
-        let ir = &task.plan.coord_ranges[&'i'];
-        let jr = &task.plan.coord_ranges[&'j'];
-        for tile in &task.plan.tiles {
-            if pipe.fused {
-                continue; // the S panel was produced on chip by stage 0
-            }
-            if ledger.changed("1:S", vec![ir.start, ir.end, jr.start, jr.end]) {
-                traffic.read("S", tile.footprint());
-                ph1.load.bytes += tile.footprint();
-            }
+        // Fused, the S panel is already on chip: stage 0 produced it.
+        if !pipe.fused {
+            ledger1.load_tiles(&kernel1, &task.plan);
         }
-        if ledger.changed("1:H", vec![jr.start, jr.end]) {
-            let bytes = vb * feat * jr.len() as u64;
-            traffic.read("H", bytes);
-            ph1.load.bytes += bytes;
-        }
+        ledger1.load_window("H", &task.plan.coord_ranges[&'j'], vb * feat);
     }
-    tasks += stream1.emitted();
-    skipped += stream1.skipped_empty();
-    if let Some(cause) = stream1.degraded() {
-        degradation.get_or_insert_with(|| crate::engine::budget_degradation(cause, tasks));
+    if let Some(kind) = run.close(&stream1) {
+        run.push("spmm", ledger1);
+        return Ok(run.stop(name, &hier, kind));
     }
-    if let Some(kind) = stream1.aborted() {
-        let stages = vec![
-            StagePhases { stage: "sddmm".into(), phases: ph0 },
-            StagePhases { stage: "spmm".into(), phases: ph1 },
-        ];
-        let mut report = finish_report(name, traffic, maccs, None, tasks, skipped, stages, &hier);
-        report.degradation = Some(expiry_degradation(kind, tasks));
-        return Ok(report);
-    }
-    maccs += feat * s.nnz() as u64;
+    run.maccs += feat * s.nnz() as u64;
     let fused_ref = drt_kernels::sddmm::fused_sddmm_spmm(a, u, v, h);
-    debug_assert_eq!(maccs, fused_ref.maccs, "stage MACCs must sum to the fused reference");
+    debug_assert_eq!(run.maccs, fused_ref.maccs, "stage MACCs must sum to the fused reference");
     // The dense Z streams out once either way.
-    let z_bytes = vb * feat * a.nrows() as u64;
-    traffic.write("Z", z_bytes);
-    ph1.writeback.bytes += z_bytes;
+    ledger1.write_back("Z", vb * feat * a.nrows() as u64);
+    run.push("spmm", ledger1);
+    Ok(run.finish(name, &hier, fused_ref.z.to_sparse(MajorAxis::Row)))
+}
 
-    let stages = vec![
-        StagePhases { stage: "sddmm".into(), phases: ph0 },
-        StagePhases { stage: "spmm".into(), phases: ph1 },
-    ];
-    let out = fused_ref.z.to_sparse(MajorAxis::Row);
-    let mut report = finish_report(name, traffic, maccs, Some(out), tasks, skipped, stages, &hier);
-    report.degradation = degradation;
-    Ok(report)
+/// A tensor stage's tiling configuration for an engine spec and an LLB
+/// capacity.
+pub(crate) type StageConfig<'a> = Box<dyn Fn(&EngineSpec, u64) -> DrtConfig + 'a>;
+
+/// A tensor stage's per-task charge: `(MACCs, output-cache key, output
+/// bytes the task adds)`.
+pub(crate) type TaskCharge<'a> = Box<dyn Fn(&RankRanges) -> (u64, TileKey, u64) + 'a>;
+
+/// What sets one CSF tensor stage apart. Everything else — the armed
+/// stream, the load ledger, the output-cache merge, the writeback and the
+/// degraded/aborted epilogue — belongs to [`run_tensor_stage`].
+pub(crate) struct TensorStage<'a> {
+    /// Output tensor name; its partition sizes the output cache.
+    pub(crate) output: &'static str,
+    /// Loop order, outermost first.
+    pub(crate) order: &'static [RankId],
+    /// The stage kernel at a micro shape.
+    pub(crate) kernel: fn(&CsfTensor, &[u32; 3]) -> Result<Kernel, CoreError>,
+    /// The stage's tiling configuration.
+    pub(crate) config: StageConfig<'a>,
+    /// Dense operands that stream one rank's coordinate window per task:
+    /// `(tensor, rank, bytes per coordinate)`.
+    pub(crate) dense: Vec<(&'static str, RankId, u64)>,
+    /// The per-task charge.
+    pub(crate) task: TaskCharge<'a>,
+    /// The reference output and its kernel's MACC total.
+    pub(crate) reference: Box<dyn FnOnce() -> (CsMatrix, u64) + 'a>,
 }
 
 /// Partitions for a single-CSF-operand kernel stream: the sparse operand
-/// gets the lion's share, the output panel the rest.
-fn tensor_partitions(llb: u64, input: &str, output: &str) -> Partitions {
-    Partitions::split(llb, &[(input, 0.6), (output, 0.4)])
+/// gets the lion's share, the output panel the rest; growth and size
+/// model follow the spec.
+fn tensor_config(output: &'static str, sm: SizeModel) -> StageConfig<'static> {
+    Box::new(move |es, llb| {
+        DrtConfig::new(Partitions::split(llb, &[("X", 0.6), (output, 0.4)]))
+            .with_growth(es.growth)
+            .with_size_model(sm)
+    })
 }
 
-/// MTTKRP over CSF: one task stream over the co-tiled `(i, j, k)` space;
-/// factor row windows stream with their coordinate ranges, the dense `M`
-/// panel is output-row-stationary.
-fn run_mttkrp(
-    x: &CsfTensor,
-    b: &DenseMatrix,
-    c: &DenseMatrix,
-    pipe: &PipelineSpec,
-    spec: &AccelSpec,
-    ctx: &RunCtx,
-) -> Result<RunReport, DrtError> {
-    let (es, hier) = engine_parts(spec, ctx, pipe)?;
-    let name = format!("{}+{}", es.display, pipe.name);
-    if let Some(kind) = ctx.cancel.expiry_kind() {
-        return Ok(degraded_pipeline_entry(&name, kind));
-    }
-    let sm = spec.size_model;
+/// The non-zeros of `x` inside one task's `(i, j, k)` box.
+fn box_nnz(x: &CsfTensor, r: &RankRanges) -> u64 {
+    x.nnz_in_box(&[r[&'i'].clone(), r[&'j'].clone(), r[&'k'].clone()]) as u64
+}
+
+/// MTTKRP: factor row windows stream with their coordinate ranges, the
+/// dense `M` panel is output-row-stationary.
+fn mttkrp_stage<'a>(
+    x: &'a CsfTensor,
+    b: &'a DenseMatrix,
+    c: &'a DenseMatrix,
+    sm: SizeModel,
+) -> TensorStage<'a> {
     let vb = sm.value_bytes as u64;
     let rank = b.ncols() as u64;
-    let cfg = DrtConfig::new(tensor_partitions(hier.llb.capacity_bytes, "X", "M"))
-        .with_growth(es.growth)
-        .with_size_model(sm);
-    let order: [RankId; 3] = ['i', 'j', 'k'];
-    let m3 = feasible_micro(
-        |m| Kernel::mttkrp(x, &pipe.micro3.map(|d| d.min(m))),
-        es,
-        &cfg,
-        &order,
-        pipe.micro3.iter().copied().max().unwrap_or(8),
-    )
-    .map_err(DrtError::Core)?;
-    let kernel = Kernel::mttkrp(x, &pipe.micro3.map(|d| d.min(m3))).map_err(DrtError::Core)?;
-    let opts = armed_opts(&kernel, es, &cfg, &order, ctx);
-    let mut stream = TaskStream::build(&kernel, opts).map_err(DrtError::Core)?;
-    let mut traffic = TrafficCounter::new();
-    let mut ph = PhaseBreakdown::default();
-    let mut ledger = LoadLedger::new();
-    let mut zcache = crate::zcache::OutputCache::new(cfg.partitions.get("M"));
-    let mut maccs = 0u64;
-    for task in &mut stream {
-        let ir = task.plan.coord_ranges[&'i'].clone();
-        let jr = task.plan.coord_ranges[&'j'].clone();
-        let kr = task.plan.coord_ranges[&'k'].clone();
-        for tile in &task.plan.tiles {
-            if ledger.changed("X", vec![ir.start, ir.end, jr.start, jr.end, kr.start, kr.end]) {
-                traffic.read("X", tile.footprint());
-                ph.load.bytes += tile.footprint();
-            }
-        }
-        if ledger.changed("B", vec![jr.start, jr.end]) {
-            let bytes = vb * rank * jr.len() as u64;
-            traffic.read("B", bytes);
-            ph.load.bytes += bytes;
-        }
-        if ledger.changed("C", vec![kr.start, kr.end]) {
-            let bytes = vb * rank * kr.len() as u64;
-            traffic.read("C", bytes);
-            ph.load.bytes += bytes;
-        }
-        let nnz = x.nnz_in_box(&[ir.clone(), jr, kr]) as u64;
-        maccs += 2 * rank * nnz;
-        // The task's M panel rows: at most one per non-zero, at most the
-        // i-range.
-        let added = vb * rank * nnz.min(ir.len() as u64);
-        let charge = zcache.access(&[ir.start, ir.end, 0, 0], added);
-        traffic.write("M", charge.spill_writes);
-        traffic.read("M", charge.refill_reads);
-        ph.merge.bytes += charge.spill_writes + charge.refill_reads;
+    TensorStage {
+        output: "M",
+        order: &['i', 'j', 'k'],
+        kernel: Kernel::mttkrp,
+        config: tensor_config("M", sm),
+        dense: vec![("B", 'j', vb * rank), ("C", 'k', vb * rank)],
+        task: Box::new(move |r| {
+            let (ir, nnz) = (&r[&'i'], box_nnz(x, r));
+            // The task's M panel rows: at most one per non-zero, at most
+            // the i-range.
+            (2 * rank * nnz, [ir.start, ir.end, 0, 0], vb * rank * nnz.min(ir.len() as u64))
+        }),
+        reference: Box::new(|| {
+            let m = drt_kernels::mttkrp::mttkrp(x, b, c);
+            (m.m.to_sparse(MajorAxis::Row), m.maccs)
+        }),
     }
-    let fin = zcache.finish();
-    traffic.read("M", fin.merge_reads);
-    traffic.write("M", fin.final_writes);
-    ph.writeback.bytes += fin.merge_reads + fin.final_writes;
-    let stages = vec![StagePhases { stage: "mttkrp".into(), phases: ph }];
-    if let Some(kind) = stream.aborted() {
-        let (emitted, skipped) = (stream.emitted(), stream.skipped_empty());
-        let mut report = finish_report(name, traffic, maccs, None, emitted, skipped, stages, &hier);
-        report.degradation = Some(expiry_degradation(kind, emitted));
-        return Ok(report);
-    }
-    debug_assert_eq!(
-        maccs,
-        drt_kernels::mttkrp::mttkrp_maccs(x, b.ncols()),
-        "task MACCs must sum to the kernel total"
-    );
-    let m = drt_kernels::mttkrp::mttkrp(x, b, c);
-    let out = m.m.to_sparse(MajorAxis::Row);
-    let mut report = finish_report(
-        name,
-        traffic,
-        maccs,
-        Some(out),
-        stream.emitted(),
-        stream.skipped_empty(),
-        stages,
-        &hier,
-    );
-    report.degradation =
-        stream.degraded().map(|c| crate::engine::budget_degradation(c, stream.emitted()));
-    Ok(report)
 }
 
-/// TTV over CSF: `Y_ij = Σ_k χ_ijk · v_k` under the same stream shape as
-/// MTTKRP, with a sparse `(i, j)` output.
-fn run_ttv(
+/// TTV: `Y_ij = Σ_k χ_ijk · v_k` under MTTKRP's stream shape, with a
+/// sparse `(i, j)` output.
+fn ttv_stage<'a>(x: &'a CsfTensor, v: &'a [f64], sm: SizeModel) -> TensorStage<'a> {
+    TensorStage {
+        output: "Y",
+        order: &['i', 'j', 'k'],
+        kernel: Kernel::ttv,
+        config: tensor_config("Y", sm),
+        dense: vec![("v", 'k', sm.value_bytes as u64)],
+        task: Box::new(move |r| {
+            let (ir, jr, nnz) = (&r[&'i'], &r[&'j'], box_nnz(x, r));
+            let cells = ir.len() as u64 * jr.len() as u64;
+            let added = sm.coo_bytes(nnz.min(cells) as usize, 2) as u64;
+            (nnz, [ir.start, ir.end, jr.start, jr.end], added)
+        }),
+        reference: Box::new(|| (drt_kernels::ttv::ttv(x, v), x.nnz() as u64)),
+    }
+}
+
+/// Run one CSF tensor stage: a budget- and cancel-armed task stream over
+/// the co-tiled space. Sparse tiles and dense operand windows load
+/// through the stage ledger, each task's output panel merges through the
+/// output cache, and the cache's final pass is the writeback.
+pub(crate) fn run_tensor_stage(
     x: &CsfTensor,
-    v: &[f64],
     pipe: &PipelineSpec,
     spec: &AccelSpec,
     ctx: &RunCtx,
+    stage: TensorStage<'_>,
 ) -> Result<RunReport, DrtError> {
-    let (es, hier) = engine_parts(spec, ctx, pipe)?;
-    let name = format!("{}+{}", es.display, pipe.name);
-    if let Some(kind) = ctx.cancel.expiry_kind() {
-        return Ok(degraded_pipeline_entry(&name, kind));
-    }
-    let sm = spec.size_model;
-    let vb = sm.value_bytes as u64;
-    let cfg = DrtConfig::new(tensor_partitions(hier.llb.capacity_bytes, "X", "Y"))
-        .with_growth(es.growth)
-        .with_size_model(sm);
-    let order: [RankId; 3] = ['i', 'j', 'k'];
-    let m3 = feasible_micro(
-        |m| Kernel::ttv(x, &pipe.micro3.map(|d| d.min(m))),
-        es,
-        &cfg,
-        &order,
-        pipe.micro3.iter().copied().max().unwrap_or(8),
-    )
-    .map_err(DrtError::Core)?;
-    let kernel = Kernel::ttv(x, &pipe.micro3.map(|d| d.min(m3))).map_err(DrtError::Core)?;
-    let opts = armed_opts(&kernel, es, &cfg, &order, ctx);
-    let mut stream = TaskStream::build(&kernel, opts).map_err(DrtError::Core)?;
-    let mut traffic = TrafficCounter::new();
-    let mut ph = PhaseBreakdown::default();
-    let mut ledger = LoadLedger::new();
-    let mut zcache = crate::zcache::OutputCache::new(cfg.partitions.get("Y"));
-    let mut maccs = 0u64;
-    for task in &mut stream {
-        let ir = task.plan.coord_ranges[&'i'].clone();
-        let jr = task.plan.coord_ranges[&'j'].clone();
-        let kr = task.plan.coord_ranges[&'k'].clone();
-        for tile in &task.plan.tiles {
-            if ledger.changed("X", vec![ir.start, ir.end, jr.start, jr.end, kr.start, kr.end]) {
-                traffic.read("X", tile.footprint());
-                ph.load.bytes += tile.footprint();
-            }
-        }
-        if ledger.changed("v", vec![kr.start, kr.end]) {
-            let bytes = vb * kr.len() as u64;
-            traffic.read("v", bytes);
-            ph.load.bytes += bytes;
-        }
-        let nnz = x.nnz_in_box(&[ir.clone(), jr.clone(), kr]) as u64;
-        maccs += nnz;
-        let cells = ir.len() as u64 * jr.len() as u64;
-        let added = sm.coo_bytes(nnz.min(cells) as usize, 2) as u64;
-        let charge = zcache.access(&[ir.start, ir.end, jr.start, jr.end], added);
-        traffic.write("Y", charge.spill_writes);
-        traffic.read("Y", charge.refill_reads);
-        ph.merge.bytes += charge.spill_writes + charge.refill_reads;
-    }
-    let fin = zcache.finish();
-    traffic.read("Y", fin.merge_reads);
-    traffic.write("Y", fin.final_writes);
-    ph.writeback.bytes += fin.merge_reads + fin.final_writes;
-    let stages = vec![StagePhases { stage: "ttv".into(), phases: ph }];
-    if let Some(kind) = stream.aborted() {
-        let (emitted, skipped) = (stream.emitted(), stream.skipped_empty());
-        let mut report = finish_report(name, traffic, maccs, None, emitted, skipped, stages, &hier);
-        report.degradation = Some(expiry_degradation(kind, emitted));
+    let (es, hier, name) = engine_parts(spec, ctx, pipe)?;
+    if let Some(report) = expired_entry(&name, ctx) {
         return Ok(report);
     }
-    debug_assert_eq!(maccs, x.nnz() as u64, "one MACC per non-zero");
-    let y = drt_kernels::ttv::ttv(x, v);
-    let mut report = finish_report(
-        name,
-        traffic,
-        maccs,
-        Some(y),
-        stream.emitted(),
-        stream.skipped_empty(),
-        stages,
-        &hier,
-    );
-    report.degradation =
-        stream.degraded().map(|c| crate::engine::budget_degradation(c, stream.emitted()));
-    Ok(report)
+    let cfg = (stage.config)(es, hier.llb.capacity_bytes);
+    let kernel_at = |m: u32| (stage.kernel)(x, &pipe.micro3.map(|d| d.min(m)));
+    let start = pipe.micro3.iter().copied().max().unwrap_or(8);
+    let kernel = kernel_at(feasible_micro(kernel_at, es, &cfg, stage.order, start)?)?;
+    let mut stream = TaskStream::build(&kernel, armed_opts(&kernel, es, &cfg, stage.order, ctx))?;
+    let out = stage.output;
+    let mut run = StageRun::default();
+    let mut ledger = StageLedger::default();
+    let mut zcache = OutputCache::new(cfg.partitions.get(out));
+    for task in &mut stream {
+        let r = &task.plan.coord_ranges;
+        ledger.load_tiles(&kernel, &task.plan);
+        for &(tensor, rank, bytes_per_coord) in &stage.dense {
+            ledger.load_window(tensor, &r[&rank], bytes_per_coord);
+        }
+        let (maccs, key, added) = (stage.task)(r);
+        run.maccs += maccs;
+        let charge = zcache.access(&key, added);
+        ledger.traffic.write(out, charge.spill_writes);
+        ledger.traffic.read(out, charge.refill_reads);
+        ledger.phases.merge.bytes += charge.spill_writes + charge.refill_reads;
+    }
+    let fin = zcache.finish();
+    ledger.traffic.read(out, fin.merge_reads);
+    ledger.traffic.write(out, fin.final_writes);
+    ledger.phases.writeback.bytes += fin.merge_reads + fin.final_writes;
+    let aborted = run.close(&stream);
+    run.push(pipe.stages[0].label(), ledger);
+    if let Some(kind) = aborted {
+        return Ok(run.stop(name, &hier, kind));
+    }
+    let (output, maccs) = (stage.reference)();
+    debug_assert_eq!(run.maccs, maccs, "task MACCs must sum to the kernel total");
+    Ok(run.finish(name, &hier, output))
 }
 
 #[cfg(test)]

@@ -1,4 +1,5 @@
-//! TACO-like CPU baseline for the Gram kernel (paper §6.1.3, Figure 9).
+//! TACO-like CPU baseline for the Gram kernel (paper §6.1.3, Figure 9),
+//! what [`crate::pipeline::PipelineSpec::gram`] runs on `cpu-mkl`.
 //!
 //! The paper passes the Gram Einsum `G_il = χ_ijk · χ_ljk` to the TACO
 //! compiler and measures its memory behaviour. TACO's generated loop nest
@@ -9,31 +10,14 @@
 //! baseline, which this model computes from the CSF footprint.
 
 use crate::cpu::CpuSpec;
-use crate::report::{PhaseBreakdown, RunReport};
-use drt_core::probe::{Event, Probe};
-use drt_sim::energy::ActionCounts;
-use drt_sim::traffic::TrafficCounter;
+use crate::pipeline::{StageLedger, StageRun};
+use crate::report::RunReport;
 use drt_tensor::format::SizeModel;
 use drt_tensor::CsfTensor;
 
-/// Run the TACO-like Gram baseline.
-///
-/// # Panics
-///
-/// Panics when `x` is not a 3-tensor.
-pub fn run_gram(x: &CsfTensor, spec: &CpuSpec) -> RunReport {
-    run_gram_with(x, spec, &SizeModel::default(), &Probe::disabled())
-}
-
-/// [`run_gram`] with an explicit size model and instrumentation probe.
-///
-/// # Panics
-///
-/// Panics when `x` is not a 3-tensor.
-pub fn run_gram_with(x: &CsfTensor, spec: &CpuSpec, sm: &SizeModel, probe: &Probe) -> RunReport {
-    assert_eq!(x.ndim(), 3, "gram expects a 3-tensor");
+/// Run the TACO-like Gram baseline on a 3-tensor `x`.
+pub(crate) fn run_gram(x: &CsfTensor, spec: &CpuSpec, sm: &SizeModel, name: String) -> RunReport {
     let result = drt_kernels::gram::gram(x);
-
     let x_bytes = sm.csf_bytes(x) as u64;
     let occupied_slices = x.level_len(0) as u64;
     // First operand streams once. Second operand: one pass per occupied i
@@ -41,62 +25,52 @@ pub fn run_gram_with(x: &CsfTensor, spec: &CpuSpec, sm: &SizeModel, probe: &Prob
     // slice stream is small).
     let hit_rate = ((spec.llc_bytes as f64) * 0.9 / x_bytes as f64).min(1.0);
     let repeat_passes = occupied_slices.saturating_sub(1) as f64 * (1.0 - hit_rate);
-    let mut traffic = TrafficCounter::new();
-    let mut phases = PhaseBreakdown::default();
-    traffic.read("X", x_bytes);
-    probe.emit(|| Event::Fetch { tensor: "X", bytes: x_bytes });
-    let y_bytes = x_bytes + (x_bytes as f64 * repeat_passes) as u64;
-    traffic.read("Y", y_bytes);
-    probe.emit(|| Event::Fetch { tensor: "Y", bytes: y_bytes });
-    phases.load.bytes += x_bytes + y_bytes;
-    let g_bytes = sm.cs_matrix_bytes(&result.g) as u64;
-    traffic.write("G", g_bytes);
-    phases.writeback.bytes += g_bytes;
-    for (phase, stats) in phases.named() {
-        probe.emit(|| Event::Phase { phase, cycles: stats.cycles, bytes: stats.bytes });
-    }
+    let mut ledger = StageLedger::default();
+    ledger.read("X", x_bytes);
+    ledger.read("Y", x_bytes + (x_bytes as f64 * repeat_passes) as u64);
+    ledger.write_back("G", sm.cs_matrix_bytes(&result.g) as u64);
+    let mut run = StageRun { maccs: result.maccs, tasks: occupied_slices, ..StageRun::default() };
+    run.push("gram", ledger);
 
     let mem_seconds =
-        traffic.total() as f64 / (spec.bandwidth_bytes_per_sec * spec.bandwidth_efficiency);
+        run.traffic.total() as f64 / (spec.bandwidth_bytes_per_sec * spec.bandwidth_efficiency);
     let cmp_seconds = result.maccs as f64 / spec.peak_maccs_per_sec;
-    let actions =
-        ActionCounts { dram_bytes: traffic.total(), maccs: result.maccs, ..Default::default() };
-    RunReport {
-        name: "TACO".into(),
-        traffic,
-        maccs: result.maccs,
-        compute_cycles: 0,
-        exposed_extract_cycles: 0,
-        seconds: mem_seconds.max(cmp_seconds),
-        output: Some(result.g),
-        tasks: occupied_slices,
-        skipped_tasks: 0,
-        actions,
-        phases,
-        stages: Vec::new(),
-        degradation: None,
-    }
+    run.report(name, mem_seconds.max(cmp_seconds), Some(result.g))
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::cpu::CpuSpec;
+    use crate::pipeline::{PipelineInput, PipelineSpec};
+    use crate::report::RunReport;
+    use crate::session::Session;
+    use crate::spec::AccelSpec;
+    use drt_tensor::format::SizeModel;
+    use drt_tensor::CsfTensor;
     use drt_workloads::tensor3::skewed_tensor;
+
+    fn run_gram(x: &CsfTensor, cpu: CpuSpec) -> RunReport {
+        Session::new(AccelSpec::cpu_mkl())
+            .cpu(cpu)
+            .run_pipeline(PipelineInput::Tensor(x), &PipelineSpec::gram())
+            .expect("taco gram")
+    }
 
     #[test]
     fn output_matches_reference_gram() {
         let x = skewed_tensor(16, 16, 16, 300, 1);
-        let r = run_gram(&x, &CpuSpec::default());
+        let r = run_gram(&x, CpuSpec::default());
         let reference = drt_kernels::gram::gram(&x).g;
         assert!(r.output.as_ref().expect("out").approx_eq(&reference, 1e-9));
         assert_eq!(r.maccs, drt_kernels::gram::gram_maccs(&x));
+        assert!(r.phase_partition_violation().is_none());
     }
 
     #[test]
     fn small_llc_multiplies_y_traffic() {
         let x = skewed_tensor(24, 24, 24, 2000, 2);
-        let big = run_gram(&x, &CpuSpec::default());
-        let tiny = run_gram(&x, &CpuSpec { llc_bytes: 256, ..CpuSpec::default() });
+        let big = run_gram(&x, CpuSpec::default());
+        let tiny = run_gram(&x, CpuSpec { llc_bytes: 256, ..CpuSpec::default() });
         assert!(tiny.traffic.reads_of("Y") > big.traffic.reads_of("Y"));
         assert!(tiny.arithmetic_intensity() < big.arithmetic_intensity());
     }
@@ -105,7 +79,7 @@ mod tests {
     fn x_always_read_once() {
         let x = skewed_tensor(12, 12, 12, 200, 3);
         let sm = SizeModel::default();
-        let r = run_gram(&x, &CpuSpec::default());
+        let r = run_gram(&x, CpuSpec::default());
         assert_eq!(r.traffic.reads_of("X"), sm.csf_bytes(&x) as u64);
     }
 }

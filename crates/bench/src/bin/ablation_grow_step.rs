@@ -4,21 +4,10 @@
 //! occupancy for extraction work.
 
 use drt_accel::session::Session;
-use drt_accel::spec::{AccelSpec, PartitionPreset, SpecKind};
-use drt_bench::{banner, emit_json, geomean, BenchOpts, JsonVal};
+use drt_accel::spec::PartitionPreset;
+use drt_bench::{banner, emit_json, geomean, op_drt_with, BenchOpts, JsonVal};
 use drt_core::config::DrtConfig;
 use drt_workloads::suite::Catalog;
-
-/// ExTensor-OP-DRT with a hand-built `DrtConfig` and a pinned micro-tile
-/// shape: an oversized micro tile is an error, never silently halved.
-fn op_drt_with(drt: DrtConfig, micro: (u32, u32)) -> AccelSpec {
-    let mut spec = AccelSpec::extensor_op_drt();
-    let SpecKind::Engine(es) = &mut spec.kind else { unreachable!("engine-simulated") };
-    es.drt_override = Some(drt);
-    es.micro = micro;
-    es.adapt_micro = false;
-    spec
-}
 
 fn main() {
     let opts = BenchOpts::from_args();

@@ -2,15 +2,19 @@
 //! the Gram kernel (`G_il = χ_ijk · χ_ljk`), for ExTensor-OP (S-U-C) and
 //! ExTensor-OP-DRT (D-N-C), across a tensor-density sweep.
 
+use drt_accel::pipeline::{PipelineInput, PipelineSpec};
+use drt_accel::session::Session;
+use drt_accel::spec::AccelSpec;
 use drt_bench::{banner, emit_json, geomean, BenchOpts, JsonVal};
 use drt_workloads::tensor3::{figure9_sweep, frostt_like};
 
 fn main() {
     let opts = BenchOpts::from_args();
     banner("Figure 9: Gram arithmetic intensity vs TACO", &opts);
-    let hier = opts.hierarchy();
-    let cpu = opts.cpu();
-    let micro = [8u32, 8, 8];
+    let [taco, suc, drt] =
+        [AccelSpec::cpu_mkl(), AccelSpec::extensor_op(), AccelSpec::extensor_op_drt()]
+            .map(|spec| Session::new(spec).hierarchy(&opts.hierarchy()).cpu(opts.cpu()));
+    let gram = PipelineSpec::gram().with_micro3([8, 8, 8]);
 
     // Fixed non-zero volume sized so the tensors dwarf the (scaled) LLC —
     // the regime FROSTT tensors occupy relative to a 30 MB cache.
@@ -29,9 +33,9 @@ fn main() {
         let shape = w.tensor.shape();
         let vol = shape.iter().map(|&d| d as f64).product::<f64>();
         let density = w.tensor.nnz() as f64 / vol;
-        let taco = drt_accel::taco::run_gram(&w.tensor, &cpu);
-        let suc = drt_accel::gram::run_gram_best_suc(&w.tensor, &hier, micro).expect("suc gram");
-        let drt = drt_accel::gram::run_gram_drt(&w.tensor, &hier, micro).expect("drt gram");
+        let [taco, suc, drt] = [&taco, &suc, &drt].map(|session| {
+            session.run_pipeline(PipelineInput::Tensor(&w.tensor), &gram).expect("gram")
+        });
         let gs = suc.arithmetic_intensity() / taco.arithmetic_intensity();
         let gd = drt.arithmetic_intensity() / taco.arithmetic_intensity();
         println!("{:<16} {:>12.3e} {:>14.3} {:>17.3} {:>12.2}", w.name, density, gs, gd, gd / gs);

@@ -33,7 +33,7 @@
 //! use this binary as a gate.
 
 use drt_verify::chaos::{run_chaos, ChaosOptions};
-use drt_verify::chaos_serve::{run_chaos_serve, ChaosServeOptions};
+use drt_verify::chaos_serve::run_chaos_serve;
 use drt_verify::driver::{verify_all, VerifyOptions, DEFAULT_MAX_ULP};
 use std::path::PathBuf;
 
@@ -86,39 +86,25 @@ fn parse_args() -> (VerifyOptions, bool, bool) {
 
 fn main() {
     let (opts, chaos, chaos_serve) = parse_args();
-    if chaos_serve {
-        let copts = ChaosServeOptions { seed: opts.seed, quick: opts.quick };
-        println!(
-            "drt-verify chaos-serve: seed {}, {} corpus",
-            copts.seed,
-            if copts.quick { "quick" } else { "full" },
-        );
-        let summary = run_chaos_serve(&copts);
-        println!(
-            "checked {} serve-chaos scenario(s): {} failure(s)",
-            summary.scenarios,
-            summary.failures.len()
-        );
-        for f in &summary.failures {
-            println!("FAIL {f}");
-        }
-        if summary.passed() {
-            println!("PASS: every admitted ticket resolved and every survivor matched standalone");
-            return;
-        }
-        std::process::exit(1);
-    }
-    if chaos {
+    if chaos || chaos_serve {
         let copts = ChaosOptions { seed: opts.seed, quick: opts.quick, ..ChaosOptions::default() };
+        let corpus = if copts.quick { "quick" } else { "full" };
+        let (summary, noun, promise) = if chaos_serve {
+            println!("drt-verify chaos-serve: seed {}, {corpus} corpus", copts.seed);
+            (
+                run_chaos_serve(&copts),
+                "serve-chaos",
+                "every admitted ticket resolved and every survivor matched standalone",
+            )
+        } else {
+            println!(
+                "drt-verify chaos: seed {}, {corpus} corpus, threads {:?}",
+                copts.seed, copts.threads
+            );
+            (run_chaos(&copts), "chaos", "every injected fault recovered or degraded as promised")
+        };
         println!(
-            "drt-verify chaos: seed {}, {} corpus, threads {:?}",
-            copts.seed,
-            if copts.quick { "quick" } else { "full" },
-            copts.threads
-        );
-        let summary = run_chaos(&copts);
-        println!(
-            "checked {} chaos scenario(s): {} failure(s)",
+            "checked {} {noun} scenario(s): {} failure(s)",
             summary.scenarios,
             summary.failures.len()
         );
@@ -126,7 +112,7 @@ fn main() {
             println!("FAIL {f}");
         }
         if summary.passed() {
-            println!("PASS: every injected fault recovered or degraded as promised");
+            println!("PASS: {promise}");
             return;
         }
         std::process::exit(1);

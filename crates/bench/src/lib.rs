@@ -45,8 +45,9 @@ use drt_accel::cpu::CpuSpec;
 use drt_accel::engine::ExecPolicy;
 use drt_accel::report::RunOutcome;
 use drt_accel::session::Session;
-use drt_accel::spec::RunCtx;
+use drt_accel::spec::{AccelSpec, RunCtx, SpecKind};
 use drt_accel::workload::{Priority, Request, Workload};
+use drt_core::config::DrtConfig;
 use drt_core::probe::{JsonValue, JsonlSink, Probe};
 use drt_sim::memory::HierarchySpec;
 use std::sync::Arc;
@@ -360,6 +361,19 @@ pub fn try_run_suite_cells_req(
         }
     }
     out
+}
+
+/// ExTensor-OP-DRT with a hand-built DRT configuration (partitions,
+/// growth order, start tile) and a pinned micro-tile shape — the §6.6
+/// design-space point the Figure 14–17 sweeps and the grow-step ablation
+/// perturb. An oversized micro tile is an error, never silently halved.
+pub fn op_drt_with(drt: DrtConfig, micro: (u32, u32)) -> AccelSpec {
+    let mut spec = AccelSpec::extensor_op_drt();
+    let SpecKind::Engine(es) = &mut spec.kind else { unreachable!("engine-simulated") };
+    es.drt_override = Some(drt);
+    es.micro = micro;
+    es.adapt_micro = false;
+    spec
 }
 
 /// Geometric mean of positive finite values (the paper's summary

@@ -21,10 +21,12 @@ pub fn dense_footprint(tile_dims: &[u32], sm: &SizeModel) -> u64 {
     if tile_dims.is_empty() {
         return 0;
     }
-    let points: u64 = tile_dims.iter().map(|&d| d as u64).product();
+    // Saturating: a shape too large to count overflows every partition.
+    let points = tile_dims.iter().fold(1u64, |p, &d| p.saturating_mul(d as u64));
     let inner_levels = (tile_dims.len() - 1).max(1) as u64;
-    (tile_dims[0] as u64 + 1) * sm.seg_bytes as u64
-        + points * (inner_levels * sm.coord_bytes as u64 + sm.value_bytes as u64)
+    (tile_dims[0] as u64 + 1).saturating_mul(sm.seg_bytes as u64).saturating_add(
+        points.saturating_mul(inner_levels * sm.coord_bytes as u64 + sm.value_bytes as u64),
+    )
 }
 
 /// Footprint of an *actual* S-U-C tile holding `nnz` non-zeros with

@@ -6,7 +6,7 @@
 //! product of each group's mode-0 fiber with itself.
 
 use drt_tensor::{CsMatrix, CsfTensor, MajorAxis};
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
 /// Result of a reference Gram run.
 #[derive(Debug, Clone, PartialEq)]
@@ -26,8 +26,10 @@ pub fn gram(x: &CsfTensor) -> GramResult {
     assert_eq!(x.ndim(), 3, "gram expects a 3-tensor");
     let i_dim = x.shape()[0];
     // Group non-zeros by contracted point (j, k): each group is the sparse
-    // fiber χ[:, j, k].
-    let mut groups: HashMap<(u32, u32), Vec<(u32, f64)>> = HashMap::new();
+    // fiber χ[:, j, k]. Ordered, so partial products reach each output
+    // cell in the same order on every call and the sums are
+    // bit-reproducible.
+    let mut groups: BTreeMap<(u32, u32), Vec<(u32, f64)>> = BTreeMap::new();
     for (p, v) in x.iter_points() {
         groups.entry((p[1], p[2])).or_default().push((p[0], v));
     }
@@ -97,6 +99,15 @@ mod tests {
         let r = gram(&x);
         for i in 0..10 {
             assert!(r.g.get(i, i) >= 0.0);
+        }
+    }
+
+    #[test]
+    fn gram_is_bit_reproducible() {
+        let x = skewed_tensor(16, 12, 8, 400, 4);
+        let first = gram(&x);
+        for _ in 0..4 {
+            assert_eq!(gram(&x), first, "repeated calls must agree bit for bit");
         }
     }
 

@@ -41,14 +41,19 @@ use std::time::Duration;
 
 use crate::driver::verify_hierarchy;
 
-/// Chaos-harness configuration (mirrors the `verify` binary's flags).
+/// Configuration shared by both chaos harnesses ([`run_chaos`] and
+/// [`crate::chaos_serve::run_chaos_serve`]; mirrors the `verify` binary's
+/// flags).
 #[derive(Debug, Clone)]
 pub struct ChaosOptions {
     /// Workload seed.
     pub seed: u64,
-    /// Quick mode: one workload, one variant (the CI gate).
+    /// Quick mode, the CI gate: one workload and one variant for the
+    /// engine harness; pool size 1 and fewer requests for the serve
+    /// harness.
     pub quick: bool,
-    /// Thread counts the recovery scenarios run at.
+    /// Thread counts the engine recovery scenarios run at (the serve
+    /// harness sizes its pools itself).
     pub threads: Vec<usize>,
 }
 
@@ -71,6 +76,15 @@ impl ChaosSummary {
     /// Whether every scenario upheld its recovery invariant.
     pub fn passed(&self) -> bool {
         self.failures.is_empty()
+    }
+
+    /// Count one scenario run, recording its failure (if any) under
+    /// `label`.
+    pub(crate) fn check(&mut self, label: &str, failure: Option<String>) {
+        self.scenarios += 1;
+        if let Some(msg) = failure {
+            self.failures.push(format!("{label}: {msg}"));
+        }
     }
 }
 
@@ -197,13 +211,6 @@ fn baseline(a: &CsMatrix, b: &CsMatrix, threads: usize) -> (RunReport, Vec<Strin
         .run_spmspm(a, b)
         .expect("fault-free baseline must run");
     (report, sink.lines())
-}
-
-fn check(summary: &mut ChaosSummary, label: &str, failure: Option<String>) {
-    summary.scenarios += 1;
-    if let Some(msg) = failure {
-        summary.failures.push(format!("{label}: {msg}"));
-    }
 }
 
 /// Is `needle` a subsequence of `haystack` (order-preserving)?
@@ -429,24 +436,19 @@ pub fn run_chaos(opts: &ChaosOptions) -> ChaosSummary {
         let (full, _) = baseline(a, a, 1);
         let mid = full.tasks / 2;
         for &t in &opts.threads {
-            check(
-                &mut summary,
+            summary.check(
                 &format!("{wl}/t{t}/retry-mid-shard"),
                 check_retry_recovers(a, a, t, Arc::new(PanicAtTask::new(mid, 1)), "mid-shard"),
             );
-            check(
-                &mut summary,
+            summary.check(
                 &format!("{wl}/t{t}/retry-shard-entry"),
                 check_retry_recovers(a, a, t, Arc::new(PanicAtShard::new(0, 1)), "shard-entry"),
             );
-            check(
-                &mut summary,
-                &format!("{wl}/t{t}/exhausted-retries"),
-                check_exhausted_retries(a, a, t),
-            );
-            check(&mut summary, &format!("{wl}/t{t}/deadline"), check_deadline_degrades(a, a, t));
+            summary
+                .check(&format!("{wl}/t{t}/exhausted-retries"), check_exhausted_retries(a, a, t));
+            summary.check(&format!("{wl}/t{t}/deadline"), check_deadline_degrades(a, a, t));
         }
-        check(&mut summary, &format!("{wl}/t1/cancel-prefix"), check_cancel_prefix(a, a));
+        summary.check(&format!("{wl}/t1/cancel-prefix"), check_cancel_prefix(a, a));
     }
     summary
 }

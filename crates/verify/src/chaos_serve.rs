@@ -27,7 +27,7 @@
 //! replay. The `verify` binary fronts [`run_chaos_serve`] behind
 //! `--chaos-serve`; CI runs `verify -- --chaos-serve --quick` as a gate.
 
-use crate::chaos::ChaosSummary;
+use crate::chaos::{ChaosOptions, ChaosSummary};
 use crate::driver::verify_hierarchy;
 use drt_accel::report::RunReport;
 use drt_accel::session::Session;
@@ -39,16 +39,6 @@ use drt_serve::{ServeConfig, ServeError, Served, Server, Ticket};
 use drt_workloads::patterns::unstructured;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-/// Serve-chaos configuration (mirrors the `verify` binary's flags).
-#[derive(Debug, Clone, Default)]
-pub struct ChaosServeOptions {
-    /// Workload seed.
-    pub seed: u64,
-    /// Quick mode: pool size 1 only, smaller request counts (the CI
-    /// gate).
-    pub quick: bool,
-}
 
 /// How long the watchdog waits for one ticket before declaring the
 /// liveness invariant violated. Generous — a healthy pool answers these
@@ -94,19 +84,12 @@ fn wait_bounded(ticket: &Ticket) -> Option<Served> {
     }
 }
 
-fn check(summary: &mut ChaosSummary, label: &str, failure: Option<String>) {
-    summary.scenarios += 1;
-    if let Some(msg) = failure {
-        summary.failures.push(format!("{label}: {msg}"));
-    }
-}
-
 /// Scenario 1+2: crash the first `crashes` execution attempts at a given
 /// pool size, no retries. Every ticket must resolve; exactly `crashes`
 /// of them as [`ServeError::WorkerCrashed`] (at pool size 1, which ones
 /// is deterministic: the first `crashes` in service order); every
 /// survivor bit-identical to standalone.
-fn check_crash_liveness(opts: &ChaosServeOptions, pool: usize, crashes: u32) -> Option<String> {
+fn check_crash_liveness(opts: &ChaosOptions, pool: usize, crashes: u32) -> Option<String> {
     let n = if opts.quick { 4 } else { 8 };
     let wls = workloads(opts.seed, n);
     let expected = standalone_reports(&wls);
@@ -170,7 +153,7 @@ fn check_crash_liveness(opts: &ChaosServeOptions, pool: usize, crashes: u32) -> 
 
 /// Scenario 3: a poison workload trips quarantine at exactly the
 /// threshold while clean traffic keeps serving bit-identically.
-fn check_quarantine_precision(opts: &ChaosServeOptions) -> Option<String> {
+fn check_quarantine_precision(opts: &ChaosOptions) -> Option<String> {
     let wls = workloads(opts.seed + 1000, 2);
     let expected = standalone_reports(&wls);
     let poison = wls[0].clone();
@@ -241,7 +224,7 @@ fn check_quarantine_precision(opts: &ChaosServeOptions) -> Option<String> {
 
 /// Scenario 4: a transient crash with a retry budget resolves `Ok`,
 /// bit-identical, crash visible only in the stats.
-fn check_retry_recovers(opts: &ChaosServeOptions) -> Option<String> {
+fn check_retry_recovers(opts: &ChaosOptions) -> Option<String> {
     let wls = workloads(opts.seed + 2000, 1);
     let expected = standalone_reports(&wls);
     let cfg = ServeConfig::default()
@@ -284,7 +267,7 @@ fn check_retry_recovers(opts: &ChaosServeOptions) -> Option<String> {
 
 /// Scenario 5: a slow head-of-line request delays but never wedges the
 /// pool — everything behind it still resolves and stays bit-identical.
-fn check_slow_head_of_line(opts: &ChaosServeOptions) -> Option<String> {
+fn check_slow_head_of_line(opts: &ChaosOptions) -> Option<String> {
     let n = if opts.quick { 3 } else { 6 };
     let wls = workloads(opts.seed + 3000, n);
     let expected = standalone_reports(&wls);
@@ -322,21 +305,20 @@ fn check_slow_head_of_line(opts: &ChaosServeOptions) -> Option<String> {
 }
 
 /// Run every serve-chaos scenario.
-pub fn run_chaos_serve(opts: &ChaosServeOptions) -> ChaosSummary {
+pub fn run_chaos_serve(opts: &ChaosOptions) -> ChaosSummary {
     let mut summary = ChaosSummary::default();
-    check(
-        &mut summary,
+    summary.check(
         "pool1/crash-liveness",
         check_crash_liveness(opts, 1, if opts.quick { 1 } else { 2 }),
     );
     if !opts.quick {
         // At pool 4 which request crashes is scheduling-dependent; the
         // counts and liveness invariants still hold.
-        check(&mut summary, "pool4/crash-liveness", check_crash_liveness(opts, 4, 2));
+        summary.check("pool4/crash-liveness", check_crash_liveness(opts, 4, 2));
     }
-    check(&mut summary, "pool1/quarantine-precision", check_quarantine_precision(opts));
-    check(&mut summary, "pool1/retry-recovers", check_retry_recovers(opts));
-    check(&mut summary, "pool1/slow-head-of-line", check_slow_head_of_line(opts));
+    summary.check("pool1/quarantine-precision", check_quarantine_precision(opts));
+    summary.check("pool1/retry-recovers", check_retry_recovers(opts));
+    summary.check("pool1/slow-head-of-line", check_slow_head_of_line(opts));
     summary
 }
 
@@ -347,7 +329,7 @@ mod tests {
     /// The in-tree version of the CI chaos-serve gate.
     #[test]
     fn chaos_serve_quick_gate_passes() {
-        let opts = ChaosServeOptions { quick: true, ..ChaosServeOptions::default() };
+        let opts = ChaosOptions { quick: true, ..ChaosOptions::default() };
         let summary = run_chaos_serve(&opts);
         assert!(summary.scenarios > 0);
         assert!(summary.passed(), "serve chaos failures: {:#?}", summary.failures);

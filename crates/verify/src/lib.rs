@@ -18,7 +18,7 @@
 //!   counts {1, 4} × shard schedules, over the seeded
 //!   [`drt_workloads::corpus`].
 //! * [`pipelines`] — the staged-pipeline differentials (MTTKRP, TTV,
-//!   A·B·C, fused SDDMM→SpMM) against the dense oracles, with
+//!   Gram, A·B·C, fused SDDMM→SpMM) against the dense oracles, with
 //!   thread-count bit-identity, stage-partition invariants, the
 //!   fused-beats-unfused traffic property, and [`drt_workloads::tensor3`]
 //!   generator-parameter shrinking. Folded into [`driver::verify_all`].

@@ -1,5 +1,5 @@
-//! Differential verification of the staged pipelines: MTTKRP and TTV
-//! over CSF, the fused SDDMM→SpMM layer, and the A·B·C chain, each
+//! Differential verification of the staged pipelines: MTTKRP, TTV and
+//! Gram over CSF, the fused SDDMM→SpMM layer, and the A·B·C chain, each
 //! checked against its dense oracle, its model invariants, and
 //! thread-count independence — with tensor workloads shrunk through
 //! [`Tensor3Gen`] parameter candidates on failure.
@@ -12,7 +12,9 @@
 
 use crate::driver::{verify_hierarchy, Failure, VerifyOptions, VerifySummary};
 use crate::invariants::check_pipeline_report;
-use crate::oracle::{compare_to_dense_tol, dense_abc, dense_mttkrp, dense_sddmm_spmm, dense_ttv};
+use crate::oracle::{
+    compare_to_dense_tol, dense_abc, dense_gram, dense_mttkrp, dense_sddmm_spmm, dense_ttv,
+};
 use drt_accel::pipeline::{PipelineInput, PipelineSpec};
 use drt_accel::report::RunReport;
 use drt_accel::session::Session;
@@ -232,6 +234,33 @@ pub fn check_ttv(
     run().err()
 }
 
+/// Gram differential: compare `G` against [`dense_gram`] under MTTKRP's
+/// accumulation-depth tolerance rule, and pin the MACC identity.
+pub fn check_gram(
+    spec: &AccelSpec,
+    gen: &Tensor3Gen,
+    threads: &[usize],
+    max_ulp: u64,
+) -> Option<String> {
+    let x = gen.generate();
+    let pipe = PipelineSpec::gram();
+    let run = || -> Result<(), String> {
+        let report = run_threads(spec, PipelineInput::Tensor(&x), &pipe, threads)?;
+        let maccs = drt_kernels::gram::gram_maccs(&x);
+        if report.maccs != maccs {
+            return Err(format!(
+                "{}: MACCs {} differ from the kernel identity {maccs}",
+                report.name, report.maccs
+            ));
+        }
+        let want = dense_gram(&x);
+        let bound = dense_gram(&abs_tensor(&x));
+        let depth = 2.0 * x.shape()[1] as f64 * x.shape()[2] as f64;
+        compare_output(&report, &want, &scaled_tolerance(&bound, depth), max_ulp, "Gram")
+    };
+    run().err()
+}
+
 /// A·B·C chain differential: fused output against [`dense_abc`], plus
 /// the fused-beats-unfused traffic property.
 pub fn check_abc(
@@ -332,22 +361,22 @@ pub fn verify_pipelines(opts: &VerifyOptions) -> VerifySummary {
     for iter in 0..opts.iters.max(1) {
         let seed = opts.seed.wrapping_add(1000 * iter as u64);
         for spec in &panel {
-            // Tensor pipelines: MTTKRP on every recipe, TTV on the first.
+            // Tensor pipelines: MTTKRP and Gram on every recipe, TTV on
+            // the first.
+            type TensorCheck = fn(&AccelSpec, &Tensor3Gen, &[usize], u64) -> Option<String>;
             for (gi, gen) in tensor_gens(seed, opts.quick).into_iter().enumerate() {
-                summary.runs += 1;
-                if let Some(detail) = check_mttkrp(spec, &gen, &opts.threads, opts.max_ulp) {
-                    let (shrunk, detail) = shrink_tensor(gen, detail, |g| {
-                        check_mttkrp(spec, g, &opts.threads, opts.max_ulp)
-                    });
-                    summary.failures.push(tensor_failure(spec, "mttkrp", shrunk, detail));
-                }
-                if gi == 0 {
+                let checks: [(&str, TensorCheck); 3] =
+                    [("mttkrp", check_mttkrp), ("ttv", check_ttv), ("gram", check_gram)];
+                for (pipeline, check) in checks {
+                    if pipeline == "ttv" && gi > 0 {
+                        continue;
+                    }
                     summary.runs += 1;
-                    if let Some(detail) = check_ttv(spec, &gen, &opts.threads, opts.max_ulp) {
+                    if let Some(detail) = check(spec, &gen, &opts.threads, opts.max_ulp) {
                         let (shrunk, detail) = shrink_tensor(gen, detail, |g| {
-                            check_ttv(spec, g, &opts.threads, opts.max_ulp)
+                            check(spec, g, &opts.threads, opts.max_ulp)
                         });
-                        summary.failures.push(tensor_failure(spec, "ttv", shrunk, detail));
+                        summary.failures.push(tensor_failure(spec, pipeline, shrunk, detail));
                     }
                 }
             }

@@ -7,6 +7,9 @@
 //! ```
 
 use drt_accel::cpu::CpuSpec;
+use drt_accel::pipeline::{PipelineInput, PipelineSpec};
+use drt_accel::session::Session;
+use drt_accel::spec::AccelSpec;
 use drt_sim::memory::HierarchySpec;
 use drt_workloads::tensor3::skewed_tensor;
 use std::error::Error;
@@ -24,11 +27,16 @@ fn main() -> Result<(), Box<dyn Error>> {
     // tensors dwarf a 30 MB cache.
     let hier = HierarchySpec::default().scaled_down(512);
     let cpu = CpuSpec::default().scaled_down(512);
-    let micro = [8u32, 8, 8];
+    let gram = PipelineSpec::gram().with_micro3([8, 8, 8]);
 
-    let taco = drt_accel::taco::run_gram(&x, &cpu);
-    let suc = drt_accel::gram::run_gram_best_suc(&x, &hier, micro)?;
-    let drt = drt_accel::gram::run_gram_drt(&x, &hier, micro)?;
+    // One pipeline, three machines: the TACO-like CPU baseline, S-U-C
+    // ExTensor-OP and ExTensor-OP-DRT.
+    let run = |spec: AccelSpec| {
+        Session::new(spec).hierarchy(&hier).cpu(cpu).run_pipeline(PipelineInput::Tensor(&x), &gram)
+    };
+    let taco = run(AccelSpec::cpu_mkl())?;
+    let suc = run(AccelSpec::extensor_op())?;
+    let drt = run(AccelSpec::extensor_op_drt())?;
 
     // All three agree with the reference kernel.
     let reference = drt_kernels::gram::gram(&x).g;
@@ -48,10 +56,10 @@ fn main() -> Result<(), Box<dyn Error>> {
         drt.maccs
     );
 
-    println!("{:<18} {:>12} {:>10} {:>12}", "config", "traffic (KB)", "AI", "AI vs TACO");
+    println!("{:<22} {:>12} {:>10} {:>12}", "config", "traffic (KB)", "AI", "AI vs TACO");
     for r in [&taco, &suc, &drt] {
         println!(
-            "{:<18} {:>12.1} {:>10.4} {:>12.2}x",
+            "{:<22} {:>12.1} {:>10.4} {:>12.2}x",
             r.name,
             r.traffic.total() as f64 / 1e3,
             r.arithmetic_intensity(),

@@ -2,6 +2,7 @@
 //! right answer, and the paper's headline orderings hold across crates.
 
 use drt_accel::cpu::CpuSpec;
+use drt_accel::pipeline::{PipelineInput, PipelineSpec};
 use drt_accel::report::RunReport;
 use drt_accel::session::Session;
 use drt_accel::spec::AccelSpec;
@@ -154,8 +155,14 @@ fn msbfs_workload_and_kernel_agree_through_the_accelerator() {
 fn gram_pipeline_is_consistent_end_to_end() {
     let x = drt_workloads::tensor3::skewed_tensor(32, 32, 32, 3_000, 17);
     let h = hier(24);
-    let taco = drt_accel::taco::run_gram(&x, &CpuSpec { llc_bytes: 4096, ..CpuSpec::default() });
-    let drt = drt_accel::gram::run_gram_drt(&x, &h, [4, 4, 4]).expect("gram drt");
+    let gram = PipelineSpec::gram().with_micro3([4, 4, 4]);
+    let [taco, drt] = [AccelSpec::cpu_mkl(), AccelSpec::extensor_op_drt()].map(|spec| {
+        Session::new(spec)
+            .hierarchy(&h)
+            .cpu(CpuSpec { llc_bytes: 4096, ..CpuSpec::default() })
+            .run_pipeline(PipelineInput::Tensor(&x), &gram)
+            .expect("gram")
+    });
     assert_eq!(drt.maccs, taco.maccs, "same effectual work on both machines");
     assert!(drt
         .output
